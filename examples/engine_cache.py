@@ -101,14 +101,17 @@ def main() -> None:
                         ("k3k2", mixed_components_hsdb)):
         print(f"  {name:6s} {fingerprint(build())[:24]}…")
 
-    # --- parallel batch membership -----------------------------------
+    # --- batch membership: sequential and process-sharded -------------
     pool = first.db.domain.first(10)
     tuples = [(x, y) for x in pool for y in pool]
-    seq = first.batch_contains(Scan(0), tuples, parallel=False)
-    par = first.batch_contains(Scan(0), tuples, parallel=True,
-                               max_workers=4)
-    assert seq == par
-    print(f"\nBatch membership: {len(tuples)} tuples, parallel == "
+    seq = first.batch_contains(Scan(0), tuples)
+    sharded_engine = Engine(rado_hsdb())  # cold cache: the pool works
+    try:
+        sharded = sharded_engine.batch_contains(Scan(0), tuples, workers=2)
+    finally:
+        sharded_engine.close()
+    assert seq == sharded
+    print(f"\nBatch membership: {len(tuples)} tuples, 2-process pool == "
           f"sequential ({sum(seq)} edges found)")
 
 

@@ -19,7 +19,7 @@ GMhs), built from:
 * :mod:`repro.engine.compile` — the compiled-closure execution
   backend, on by default for cold evaluations;
 * :mod:`repro.engine.executor` — :class:`Engine`: cached evaluation,
-  batched membership with an optional parallel path, metered end to
+  batched membership with an optional process-pool path, metered end to
   end and governed by a :class:`~repro.trace.Budget`;
 * :mod:`repro.engine.verdict` — :class:`Verdict`, the three-valued
   answer type of :meth:`Engine.eval`: divergence (a tripped budget)

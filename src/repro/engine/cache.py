@@ -19,16 +19,14 @@ Both levels expose :class:`~repro.engine.stats.CacheStats` snapshots.
 Thread safety (the serving-tier contract, ``docs/concurrency.md``):
 one :class:`EngineCache` may back N engines on N threads.  The plan
 cache inherits the locked memo of :func:`~repro.util.memo.lru_cached`;
-the result cache is **lock-striped** — keys hash to one of several
-shards, each an ``OrderedDict`` guarded by its own lock, so concurrent
-lookups of distinct keys proceed in parallel while each individual
-``get``/``put`` (LRU refresh included) is atomic.  Eviction keeps a
-global bound with near-exact LRU order via per-entry touch stamps.
+the result cache is one ``OrderedDict`` LRU behind one lock, so each
+``get``/``put`` (LRU refresh and eviction included) is atomic and
+eviction order is exact LRU.  The work it guards is CPU-bound Python
+under the GIL, so finer-grained locking would buy no parallelism.
 """
 
 from __future__ import annotations
 
-import itertools
 import threading
 from collections import OrderedDict
 from collections.abc import Hashable
@@ -38,10 +36,9 @@ from ..util.memo import lru_cached
 from .plan import Plan, normalize
 from .stats import CacheStats
 
-#: Default shard count of :class:`ResultCache` — enough stripes that
-#: eight engine threads rarely collide, few enough that the all-shard
-#: operations (``clear``, eviction victim scan) stay trivial.
-DEFAULT_SHARDS = 16
+#: Miss sentinel for :meth:`ResultCache.get`, distinct from any value
+#: the cache can hold.
+_MISSING = object()
 
 
 class PlanCache:
@@ -119,59 +116,32 @@ class PlanCache:
             self._rewrites.clear()
 
 
-class _Shard:
-    """One stripe of the result cache: an LRU dict plus its lock.
+class ResultCache:
+    """Bounded LRU of finished answers (level 2), behind one lock.
 
-    Entries are two-slot lists ``[value, stamp]``; the stamp is a
-    global monotonic touch counter used to pick the globally oldest
-    entry at eviction time (per-shard LRU order alone would evict the
-    newest insert whenever it landed in an otherwise empty shard).
+    Keys are ``(fingerprint, plan, args)`` triples; values are whatever
+    the executor produced (path frozensets, booleans, ``FcfValue``\\ s —
+    all immutable, so sharing is safe).  One ``OrderedDict`` in
+    recency order holds every entry; a ``put`` beyond ``maxsize``
+    evicts the least recently used entry, exactly.
+
+    Concurrency contract: every public method is safe to call from any
+    thread and is atomic under the cache's one lock — ``get`` folds
+    the containment check, LRU refresh and counter bump into one
+    locked access (no TOCTOU window), ``put`` inserts and evicts in
+    one step, so no caller ever observes ``len(self) > maxsize``.
+    Counters satisfy ``hits + misses == counted lookups`` exactly.
     """
 
-    __slots__ = ("lock", "data", "hits", "misses", "evictions",
-                 "shared_hits", "shared_misses")
-
-    def __init__(self):
-        self.lock = threading.Lock()
-        self.data: OrderedDict[Hashable, list] = OrderedDict()
+    def __init__(self, maxsize: int = 65536):
+        self.maxsize = maxsize
+        self._lock = threading.Lock()
+        self._data: OrderedDict[Hashable, Any] = OrderedDict()
         self.hits = 0
         self.misses = 0
         self.evictions = 0
         self.shared_hits = 0
         self.shared_misses = 0
-
-
-class ResultCache:
-    """Bounded, lock-striped LRU of finished answers (level 2).
-
-    Keys are ``(fingerprint, plan, args)`` triples; values are whatever
-    the executor produced (path frozensets, booleans, ``FcfValue``\\ s —
-    all immutable, so sharing is safe).
-
-    Concurrency contract: every public method is safe to call from any
-    thread.  ``get`` is atomic (containment check, LRU refresh, and
-    counter bump under one shard lock — no TOCTOU window), ``put``
-    is atomic per shard with the global-bound eviction loop running
-    lock-free between shards; the size may transiently overshoot
-    ``maxsize`` by at most the number of concurrent writers and is
-    restored to ``<= maxsize`` by the time every ``put`` returns.
-    Counters satisfy ``hits + misses == counted lookups`` exactly.
-
-    Parameters
-    ----------
-    maxsize:
-        Global entry bound across all shards.
-    shards:
-        Stripe count (clamped to ``maxsize`` so tiny caches keep exact
-        single-dict semantics; default :data:`DEFAULT_SHARDS`).
-    """
-
-    def __init__(self, maxsize: int = 65536,
-                 shards: int = DEFAULT_SHARDS):
-        self.maxsize = maxsize
-        nshards = max(1, min(shards, maxsize))
-        self._shards = tuple(_Shard() for __ in range(nshards))
-        self._ticker = itertools.count()
 
     @staticmethod
     def key(fingerprint: str, plan: Plan,
@@ -179,18 +149,13 @@ class ResultCache:
         """The canonical ``(fingerprint, plan, args)`` cache key."""
         return (fingerprint, plan, args)
 
-    def _shard_for(self, key: Hashable) -> _Shard:
-        """The stripe ``key`` lives in (stable hash partition)."""
-        return self._shards[hash(key) % len(self._shards)]
-
     def get(self, key: Hashable, default: Any = None, *,
             shared: bool = False) -> Any:
         """Counted lookup: a hit refreshes LRU order, a miss counts.
 
-        Atomic under the key's shard lock: the historical
-        ``key in dict`` / ``dict[key]`` two-step (which could raise
-        ``KeyError`` when a concurrent ``put`` evicted in between) is
-        folded into one locked access.
+        One atomic locked access: the historical ``key in dict`` /
+        ``dict[key]`` two-step (which could raise ``KeyError`` when a
+        concurrent ``put`` evicted in between) is folded into it.
 
         ``shared=True`` marks the lookup as a *shared-subplan* probe
         (interior boundary of a compiled plan, or a batch common
@@ -198,133 +163,64 @@ class ResultCache:
         additionally in the ``shared_*`` split, so observers can tell
         cross-query sharing from root-level traffic.
         """
-        shard = self._shard_for(key)
-        with shard.lock:
-            entry = shard.data.get(key)
-            if entry is not None:
-                shard.data.move_to_end(key)
-                entry[1] = next(self._ticker)
-                shard.hits += 1
+        with self._lock:
+            value = self._data.get(key, _MISSING)
+            if value is _MISSING:
+                self.misses += 1
                 if shared:
-                    shard.shared_hits += 1
-                return entry[0]
-            shard.misses += 1
+                    self.shared_misses += 1
+                return default
+            self._data.move_to_end(key)
+            self.hits += 1
             if shared:
-                shard.shared_misses += 1
-            return default
+                self.shared_hits += 1
+            return value
 
     def __contains__(self, key: Hashable) -> bool:
         # Pure containment check — does not touch the counters; use
         # ``get`` for the counted access path.
-        shard = self._shard_for(key)
-        with shard.lock:
-            return key in shard.data
+        with self._lock:
+            return key in self._data
 
     def put(self, key: Hashable, value: Any) -> None:
         """Insert (or refresh) an entry, evicting the LRU on overflow."""
-        shard = self._shard_for(key)
-        with shard.lock:
-            shard.data[key] = [value, next(self._ticker)]
-            shard.data.move_to_end(key)
-        while len(self) > self.maxsize:
-            if not self._evict_one():
-                break
-
-    def _evict_one(self) -> bool:
-        """Evict the (approximately) globally oldest entry.
-
-        Scans shard heads for the minimal touch stamp, then pops that
-        shard's LRU entry.  Between the scan and the pop another thread
-        may touch the shard — the pop still removes *that shard's*
-        oldest entry, so the policy degrades to near-LRU rather than
-        breaking.  Returns ``False`` when every shard is empty.
-        """
-        victim: _Shard | None = None
-        oldest: int | None = None
-        for shard in self._shards:
-            with shard.lock:
-                if shard.data:
-                    head = next(iter(shard.data.values()))
-                    if oldest is None or head[1] < oldest:
-                        oldest = head[1]
-                        victim = shard
-        if victim is None:
-            return False
-        with victim.lock:
-            if not victim.data:
-                return False
-            victim.data.popitem(last=False)
-            victim.evictions += 1
-            return True
-
-    # -- aggregate counters (summed across shards) ---------------------------
-
-    @property
-    def hits(self) -> int:
-        """Total counted hits across all shards."""
-        return sum(s.hits for s in self._shards)
-
-    @property
-    def misses(self) -> int:
-        """Total counted misses across all shards."""
-        return sum(s.misses for s in self._shards)
-
-    @property
-    def evictions(self) -> int:
-        """Total LRU evictions across all shards."""
-        return sum(s.evictions for s in self._shards)
-
-    @property
-    def shards(self) -> int:
-        """Number of lock stripes."""
-        return len(self._shards)
-
-    @property
-    def shared_hits(self) -> int:
-        """Total shared-subplan probe hits across all shards."""
-        return sum(s.shared_hits for s in self._shards)
-
-    @property
-    def shared_misses(self) -> int:
-        """Total shared-subplan probe misses across all shards."""
-        return sum(s.shared_misses for s in self._shards)
+        with self._lock:
+            data = self._data
+            data[key] = value
+            data.move_to_end(key)
+            while len(data) > self.maxsize:
+                data.popitem(last=False)
+                self.evictions += 1
 
     def stats(self) -> CacheStats:
         """A :class:`CacheStats` snapshot of the result cache."""
-        return CacheStats(hits=self.hits, misses=self.misses,
-                          evictions=self.evictions, size=len(self),
-                          shared_hits=self.shared_hits,
-                          shared_misses=self.shared_misses)
+        with self._lock:
+            return CacheStats(hits=self.hits, misses=self.misses,
+                              evictions=self.evictions,
+                              size=len(self._data),
+                              shared_hits=self.shared_hits,
+                              shared_misses=self.shared_misses)
 
     def items(self) -> list[tuple[Hashable, Any]]:
         """A point-in-time ``(key, value)`` snapshot of every entry.
 
-        Collected shard by shard under each shard's lock (uncounted —
-        LRU order and hit/miss tallies are untouched), so the snapshot
-        is consistent per shard and safe against concurrent writers.
-        This is what :meth:`repro.store.backend.Store.snapshot_cache`
-        walks to persist a live cache.
+        Taken under the lock and uncounted (LRU order and hit/miss
+        tallies are untouched), so it is consistent and safe against
+        concurrent writers.  This is what :meth:`repro.store.backend.
+        Store.snapshot_cache` walks to persist a live cache.
         """
-        out: list[tuple[Hashable, Any]] = []
-        for shard in self._shards:
-            with shard.lock:
-                out.extend((key, entry[0])
-                           for key, entry in shard.data.items())
-        return out
+        with self._lock:
+            return list(self._data.items())
 
     def clear(self) -> None:
         """Drop every entry and zero the hit/miss/eviction counters."""
-        for shard in self._shards:
-            with shard.lock:
-                shard.data.clear()
-                shard.hits = 0
-                shard.misses = 0
-                shard.evictions = 0
-                shard.shared_hits = 0
-                shard.shared_misses = 0
+        with self._lock:
+            self._data.clear()
+            self.hits = self.misses = self.evictions = 0
+            self.shared_hits = self.shared_misses = 0
 
     def __len__(self) -> int:
-        return sum(len(s.data) for s in self._shards)
+        return len(self._data)
 
 
 class EngineCache:
@@ -340,11 +236,9 @@ class EngineCache:
     """
 
     def __init__(self, plan_maxsize: int = 4096,
-                 result_maxsize: int = 65536,
-                 result_shards: int = DEFAULT_SHARDS):
+                 result_maxsize: int = 65536):
         self.plans = PlanCache(maxsize=plan_maxsize)
-        self.results = ResultCache(maxsize=result_maxsize,
-                                   shards=result_shards)
+        self.results = ResultCache(maxsize=result_maxsize)
 
     def clear(self) -> None:
         """Clear both levels."""

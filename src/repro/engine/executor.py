@@ -1,4 +1,4 @@
-"""The engine executor: cached, batched, optionally parallel evaluation.
+"""The engine executor: cached, batched, optionally sharded evaluation.
 
 :class:`Engine` wraps one database (an hs-r-db or an fcf-r-db) and
 evaluates plan-IR trees against it:
@@ -19,11 +19,10 @@ evaluates plan-IR trees against it:
   (the *Complete Approximations* motivation — many related queries, one
   database) pay for the shared work once;
 * ``batch_contains`` answers many membership questions in one pass over
-  one evaluated plan, with an optional :class:`~concurrent.futures.
-  ThreadPoolExecutor` path for the embarrassingly parallel per-tuple
-  tests and a deterministic sequential fallback producing bit-for-bit
-  identical answers (the parallel path preserves request order via
-  ``Executor.map``);
+  one evaluated plan; ``workers=N`` ships the per-tuple tests to the
+  process pool of :mod:`repro.engine.shard` (the only parallel path —
+  the tests are CPU-bound Python, so threads would serialize on the
+  GIL), with bit-for-bit the answers of the sequential path;
 * all work is metered in :class:`~repro.engine.stats.EngineStats`:
   oracle (``≅_B``) questions, cache traffic, per-node timings, wall
   time, and three-valued verdict counts;
@@ -48,10 +47,9 @@ flight lives in a :class:`~contextvars.ContextVar` (not instance
 state), so two threads evaluating through one engine never cross their
 step budgets or deadlines; per-node timing bookkeeping is thread-local;
 the caches, stats tables, and :class:`~repro.trace.Budget` charging are
-individually thread-safe.  The parallel batch path propagates both the
-active budget and the enclosing trace span into its pool workers, so
-``--trace`` trees keep their ``engine.batch_contains`` parent and a
-:meth:`Engine.cancel` from any thread interrupts a batch mid-flight.
+individually thread-safe.  A batch checks its budget before every
+membership test, so an :meth:`Engine.cancel` from any thread
+interrupts a batch mid-flight.
 """
 
 from __future__ import annotations
@@ -59,7 +57,6 @@ from __future__ import annotations
 import threading
 import time
 from collections.abc import Iterable, Sequence
-from concurrent.futures import ThreadPoolExecutor
 from contextvars import ContextVar
 
 from ..errors import (
@@ -75,7 +72,6 @@ from ..qlhs.interpreter import QLhsInterpreter, Value
 from ..symmetric.hsdb import HSDatabase
 from ..trace import Budget, limits, span
 from ..trace.budget import as_budget
-from ..trace.spans import current_span, under_span
 from .cache import EngineCache, ResultCache
 from .compile import compile_plan
 from .fingerprint import fingerprint
@@ -148,9 +144,6 @@ class Engine:
         :data:`repro.trace.limits.ENGINE` steps, no deadline.
     fuel:
         Deprecated alias: ``fuel=N`` means ``budget=Budget(max_steps=N)``.
-    max_workers:
-        Default thread count for the parallel batch path (``None``
-        delegates to :class:`ThreadPoolExecutor`'s default).
     optimize:
         Run the :mod:`repro.engine.optimize` rewrite rules during plan
         preparation (default on; only applies to hs engines).
@@ -167,7 +160,6 @@ class Engine:
                  cache: EngineCache | None = None,
                  budget: Budget | int | None = None,
                  fuel: int | None = None,
-                 max_workers: int | None = None,
                  optimize: bool = True,
                  compiled: bool = True):
         if not isinstance(db, (HSDatabase, FcfDatabase)):
@@ -177,7 +169,6 @@ class Engine:
         self.db = db
         self.cache = cache if cache is not None else EngineCache()
         self.budget = as_budget(budget, fuel, default_steps=limits.ENGINE)
-        self.max_workers = max_workers
         self.optimize = optimize
         self.compiled = compiled
         self.fingerprint = fingerprint(db)
@@ -346,25 +337,18 @@ class Engine:
         """One membership test: is ``u`` in the plan's relation?"""
         return self.batch_contains(plan, [tuple(u)])[0]
 
-    def batch_contains(self, plan: Plan, tuples: Iterable[Sequence],
-                       parallel: bool = False,
-                       max_workers: int | None = None, *,
+    def batch_contains(self, plan: Plan, tuples: Iterable[Sequence], *,
                        workers: int | None = None,
                        budget: Budget | None = None) -> list[bool]:
         """Answer many membership questions against one plan, in order.
 
         The plan is evaluated once (warm: a cache probe); each tuple
-        then gets an independent test — canonicalize, probe the result —
-        which is embarrassingly parallel.  ``parallel=True`` fans the
-        *uncached* tests out over a thread pool; answers are reassembled
-        in request order, so the two paths agree bit for bit (the E15
-        benchmark asserts it).  Per-tuple answers are result-cached
-        under ``(fingerprint, plan, ("contains", u))``.
+        then gets an independent test — canonicalize, probe the
+        result.  Per-tuple answers are result-cached under
+        ``(fingerprint, plan, ("contains", u))``.
 
         The whole batch runs under one :meth:`~repro.trace.Budget.fork`
-        of the engine budget, *shared* by every pool worker (the fork's
-        charging is atomic, so the workers cannot jointly overrun it),
-        and the budget is checked before every membership test — a
+        of the engine budget, checked before every membership test — a
         :meth:`cancel` from another thread or an expired deadline
         interrupts the batch mid-flight with
         :class:`~repro.errors.OutOfFuel` (reason ``cancelled`` /
@@ -374,11 +358,10 @@ class Engine:
         govern their slice of a shipped batch with it).
 
         ``workers=N`` (N > 1) shards the uncached tests across a
-        process pool instead of threads — genuine multi-core
-        parallelism with bit-for-bit the same answers, written back
-        into the same result-cache keys.  Unshardable databases and
-        unserializable plans fall back to the in-process paths below
-        (``docs/sharding.md``).
+        process pool — multi-core parallelism with bit-for-bit the
+        sequential answers, written back into the same result-cache
+        keys.  Unshardable databases and unserializable plans fall
+        back to the in-process path (``docs/sharding.md``).
         """
         requests = [tuple(u) for u in tuples]
         if workers is not None and workers > 1 and len(requests) > 1:
@@ -388,77 +371,35 @@ class Engine:
                 return self._shards(workers).batch_contains(
                     self, plan, requests, budget=budget)
             except (UnshardableDatabaseError, UnserializablePlanError):
-                pass  # fall through to the in-process paths
+                pass  # fall through to the in-process path
         run = budget if budget is not None else self.budget.fork()
         token = _ACTIVE_BUDGET.set(run)
         try:
-            return self._batch_contains(plan, requests, parallel,
-                                        max_workers, run)
+            with span("engine.batch_contains",
+                      requests=len(requests)) as sp, Timer() as t:
+                before = self._oracle_calls()
+                prepared = self.prepare(plan)
+                value = self._arg(prepared)
+                answers: list[bool] = []
+                results_cache = self.cache.results
+                missing = object()
+                for u in requests:
+                    key = ResultCache.key(self.fingerprint, prepared,
+                                          ("contains", u))
+                    answer = results_cache.get(key, missing)
+                    if answer is missing:
+                        run.check()
+                        answer = self._member(value, u)
+                        results_cache.put(key, answer)
+                    answers.append(answer)
+                asked = self._oracle_calls() - before
+                self._stats.add(oracle_questions=asked,
+                                batch_requests=len(requests))
+                sp.count("oracle_questions", asked)
         finally:
             _ACTIVE_BUDGET.reset(token)
-
-    def _batch_contains(self, plan: Plan, requests: list[tuple],
-                        parallel: bool, max_workers: int | None,
-                        run: Budget) -> list[bool]:
-        """The :meth:`batch_contains` body (active budget installed)."""
-        with span("engine.batch_contains",
-                  requests=len(requests)) as sp, Timer() as t:
-            before = self._oracle_calls()
-            prepared = self.prepare(plan)
-            value = self._arg(prepared)
-
-            answers: list[bool | None] = [None] * len(requests)
-            pending: list[int] = []
-            results_cache = self.cache.results
-            missing = object()
-            for pos, u in enumerate(requests):
-                key = ResultCache.key(self.fingerprint, prepared,
-                                      ("contains", u))
-                hit = results_cache.get(key, missing)
-                if hit is missing:
-                    pending.append(pos)
-                else:
-                    answers[pos] = hit
-
-            if parallel and len(pending) > 1:
-                # Capture the enclosing span and the batch budget for
-                # the workers: pool threads start fresh span stacks and
-                # empty budget contexts, so without explicit
-                # propagation their spans would surface as orphan roots
-                # and their work would escape the batch budget.
-                parent = current_span()  # no-op span when not recording
-
-                def member_task(pos: int) -> bool:
-                    worker_token = _ACTIVE_BUDGET.set(run)
-                    try:
-                        with under_span(parent):
-                            with span("engine.member"):
-                                run.check()
-                                return self._member(value, requests[pos])
-                    finally:
-                        _ACTIVE_BUDGET.reset(worker_token)
-
-                workers = max_workers or self.max_workers
-                with ThreadPoolExecutor(max_workers=workers) as pool:
-                    computed = list(pool.map(member_task, pending))
-            else:
-                computed = []
-                for pos in pending:
-                    run.check()
-                    computed.append(self._member(value, requests[pos]))
-
-            for pos, answer in zip(pending, computed):
-                key = ResultCache.key(self.fingerprint, prepared,
-                                      ("contains", requests[pos]))
-                results_cache.put(key, answer)
-                answers[pos] = answer
-
-            asked = self._oracle_calls() - before
-            self._stats.add(oracle_questions=asked,
-                            batch_requests=len(requests))
-            sp.count("oracle_questions", asked)
         self._stats.add(wall_time=t.seconds)
-        return answers  # type: ignore[return-value]
+        return answers
 
     def batch_evaluate(self, plans: Sequence[Plan]) -> list:
         """Evaluate several plans (shared sub-plans are computed once).

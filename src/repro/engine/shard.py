@@ -1,10 +1,8 @@
 """Multi-process sharded execution: beating the GIL on batch work.
 
-The engine's thread-pool batch path (:meth:`Engine.batch_contains
-<repro.engine.executor.Engine.batch_contains>` with ``parallel=True``)
-parallelizes *waiting*, not *computing*: every membership test holds
-the GIL while it canonicalizes paths, so on real hardware a CPU-bound
-batch runs on one core.  This module adds the process-pool backend —
+Every membership test holds the GIL while it canonicalizes paths, so
+threads cannot spread a CPU-bound batch over more than one core.  This
+module is the engine's one parallel batch path, a process pool —
 the architecture is the paper's own completeness argument turned into
 systems leverage: the four frontends provably compute one semantics,
 results are keyed by structural database *fingerprint* (genericity,
@@ -557,7 +555,8 @@ class ShardExecutor:
                        budget: Budget | None = None) -> list:
         """Answer many membership questions across the worker pool.
 
-        The process-pool twin of the engine's thread path: the
+        The process-pool twin of :meth:`Engine.batch_contains
+        <repro.engine.executor.Engine.batch_contains>`: the
         coordinator probes its result cache first (warm answers never
         ship), partitions the misses by :func:`shard_index` over
         ``(plan text, tuple)``, and each worker evaluates the plan once

@@ -64,9 +64,10 @@ class Budget:
         children inherit the *absolute* deadline, so a whole evaluation
         tree shares one clock.
 
-    Thread safety: one budget may be charged from many threads (the
-    engine's parallel batch path shares one fork across its pool
-    workers).  :meth:`charge` / :meth:`charge_oracle` run under a
+    Thread safety: one budget may be charged and cancelled from any
+    thread (the serving tier's request threads share a tenant's
+    cancellation flag, and ``Engine.cancel`` may come from anywhere).
+    :meth:`charge` / :meth:`charge_oracle` run under a
     private lock and commit **check-then-charge**: a charge that would
     exceed the limit raises *without* consuming, so ``steps`` never
     exceeds ``max_steps`` and hammering one budget from N threads

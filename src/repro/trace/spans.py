@@ -19,10 +19,12 @@ Because the stack is thread-local, work submitted to a
 stack and its spans would surface as orphan roots.  :func:`under_span`
 (adopt a captured parent for a block) and :func:`propagate_span` (wrap
 a callable with the submitting thread's current span) carry the
-hierarchy across the pool boundary — the engine's parallel batch path
-uses them so ``--trace`` trees keep their ``engine.batch_contains``
-parent.  A propagated parent is used for *parentage only*: mutate
-(``count``/``set``) a span only from the thread that opened it.
+hierarchy across the pool boundary for any caller that hands traced
+work to threads; :func:`replay_records` is the cross-process analogue
+the shard executor uses to keep worker spans under their
+``engine.batch_contains`` parent.  A propagated parent is used for
+*parentage only*: mutate (``count``/``set``) a span only from the
+thread that opened it.
 
 Doctest::
 

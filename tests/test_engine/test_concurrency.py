@@ -1,12 +1,12 @@
 """Concurrency suite: the thread-safety contract of ``docs/concurrency.md``.
 
 Each fast test here pins one of the concurrency fixes (atomic budgets,
-the lock-striped result cache, context-scoped active budgets,
-mid-batch cancellation, span propagation); on the pre-fix code every
-one of them fails — deterministically for the budget accounting (the
-old committing ``charge`` always overshoots under contention) and
-probabilistically for the TOCTOU/interleaving races (the reduced GIL
-switch interval makes those reproduce in a few thousand operations).
+the locked result cache, context-scoped active budgets, mid-batch
+cancellation); on the pre-fix code every one of them fails —
+deterministically for the budget accounting (the old committing
+``charge`` always overshoots under contention) and probabilistically
+for the TOCTOU/interleaving races (the reduced GIL switch interval
+makes those reproduce in a few thousand operations).
 The ``@pytest.mark.stress`` hammers are the long-haul versions the CI
 stress job runs (≥8 threads × ≥10k ops against one shared object).
 """
@@ -103,7 +103,7 @@ class TestBudgetAtomicity:
 
 
 class TestResultCacheRaces:
-    """Satellite 3 (+ tentpole): the striped cache under contention."""
+    """Satellite 3 (+ tentpole): the locked LRU cache under contention."""
 
     def test_get_put_toctou_stress(self, tight_gil):
         """Pre-fix: ``key in dict`` → evict → ``dict[key]`` raised
@@ -133,16 +133,22 @@ class TestResultCacheRaces:
             assert stats.hits + stats.misses == sum(lookups)
             assert len(cache) <= cache.maxsize
 
-    def test_striped_semantics_match_sequential(self):
-        """Single-threaded, the stripes behave like one LRU dict."""
+    def test_exact_lru_get_saves_oldest(self):
+        """Eviction is exact LRU: a ``get`` of the oldest entry right
+        before an overflow refreshes it, so the next-oldest goes."""
         cache = ResultCache(maxsize=3)
-        keys = [ResultCache.key("fp", Scan(0), ("k", j)) for j in range(4)]
-        for j, key in enumerate(keys):
+        keys = [ResultCache.key("fp", Scan(0), ("k", j)) for j in range(5)]
+        for j, key in enumerate(keys[:3]):
             cache.put(key, j)
-        # Global LRU: the oldest insert (key 0) went first.
-        assert cache.get(keys[0]) is None
-        assert cache.get(keys[3]) == 3
-        assert cache.evictions == 1
+        assert cache.get(keys[0]) == 0   # oldest, now most recent
+        cache.put(keys[3], 3)            # overflow: evicts key 1
+        assert keys[0] in cache
+        assert keys[1] not in cache
+        cache.put(keys[4], 4)            # overflow: evicts key 2
+        assert keys[2] not in cache
+        assert [cache.get(k) for k in (keys[0], keys[3], keys[4])] \
+            == [0, 3, 4]
+        assert cache.evictions == 2
         assert len(cache) == 3
 
     def test_concurrent_distinct_shards_do_not_serialize_errors(
@@ -222,7 +228,7 @@ class TestEngineReentrancy:
 class TestCancellationMidBatch:
     """Satellite (tests): cancel a running batch from another thread."""
 
-    def test_cancel_interrupts_parallel_batch(self):
+    def test_cancel_from_another_thread(self):
         engine = Engine(rado_hsdb())
         pool = engine.db.domain.first(6)
         tuples = [(x, y) for x in pool for y in pool]
@@ -231,8 +237,8 @@ class TestCancellationMidBatch:
         original_member = engine._member
 
         def blocking_member(value, u):
-            # Every membership call parks until released, so both pool
-            # workers are guaranteed to be mid-tuple when ``cancel()``
+            # Every membership call parks until released, so the batch
+            # thread is guaranteed to be mid-tuple when ``cancel()``
             # lands and the next ``run.check()`` must observe it.
             started.set()
             release.wait(timeout=30)
@@ -243,8 +249,7 @@ class TestCancellationMidBatch:
 
         def run_batch():
             try:
-                outcome["answers"] = engine.batch_contains(
-                    Scan(0), tuples, parallel=True, max_workers=2)
+                outcome["answers"] = engine.batch_contains(Scan(0), tuples)
             except OutOfFuel as exc:
                 outcome["error"] = exc
 
@@ -256,6 +261,7 @@ class TestCancellationMidBatch:
         worker.join(timeout=30)
         assert not worker.is_alive()
         assert "error" in outcome, "cancellation did not interrupt"
+        assert "answers" not in outcome
         assert outcome["error"].reason == CANCELLED
 
     def test_cancel_interrupts_sequential_batch(self):
@@ -272,7 +278,7 @@ class TestCancellationMidBatch:
 
         engine._member = cancelling_member
         with pytest.raises(OutOfFuel) as exc:
-            engine.batch_contains(Scan(0), tuples, parallel=False)
+            engine.batch_contains(Scan(0), tuples)
         assert exc.value.reason == CANCELLED
 
 
@@ -302,15 +308,15 @@ class TestSharedCacheMultiEngine:
 
     def test_parallel_batches_under_contention_bit_for_bit(
             self, tight_gil):
+        """Four threads run sequential batches through one shared
+        engine (and so one result cache) at once."""
         engine = Engine(rado_hsdb())
         pool = engine.db.domain.first(8)
         tuples = [(x, y) for x in pool for y in pool]
-        expected = Engine(rado_hsdb()).batch_contains(
-            Scan(0), tuples, parallel=False)
+        expected = Engine(rado_hsdb()).batch_contains(Scan(0), tuples)
 
         def work(i):
-            answers = engine.batch_contains(
-                Scan(0), tuples, parallel=True, max_workers=2)
+            answers = engine.batch_contains(Scan(0), tuples)
             assert answers == expected
 
         errors = _run_threads(4, work)

@@ -253,35 +253,6 @@ class TestSpanPropagation:
         assert task.parent_id is None
         assert task.depth == 0
 
-    def test_engine_member_spans_nest_under_batch(self):
-        """The batch executor propagates its span into pool workers:
-        every ``engine.member`` recorded from a worker thread has the
-        ``engine.batch_contains`` span as an ancestor."""
-        from repro.engine import Engine, Scan
-        from repro.symmetric import rado_hsdb
-
-        engine = Engine(rado_hsdb())
-        pool = engine.db.domain.first(4)
-        tuples = [(x, y) for x in pool for y in pool]
-        rec = TraceRecorder(capacity=4096)
-        with recording(rec):
-            engine.batch_contains(Scan(0), tuples, parallel=True,
-                                  max_workers=4)
-        spans_by_id = {sp.span_id: sp for sp in rec.trace().ordered()}
-        batch = [sp for sp in spans_by_id.values()
-                 if sp.name == "engine.batch_contains"]
-        members = [sp for sp in spans_by_id.values()
-                   if sp.name == "engine.member"]
-        assert len(batch) == 1
-        assert len(members) == len(tuples)
-        for member in members:
-            assert member.parent_id is not None
-            ancestor = spans_by_id[member.parent_id]
-            while ancestor.parent_id is not None:
-                ancestor = spans_by_id[ancestor.parent_id]
-            assert ancestor is batch[0] or member.parent_id == batch[0].id
-            assert member.depth > batch[0].depth
-
 
 class TestRecorderThreadSafety:
     """The locked ring buffer keeps exact accounting under contention."""
