@@ -12,6 +12,7 @@ import pytest
 from repro.logic import Var, parse, relation_from_formula
 from repro.qlhs import QLhsInterpreter
 from repro.qlhs.from_logic import compile_formula, evaluate_via_algebra
+from repro.trace import Budget
 
 from conftest import report
 
@@ -25,7 +26,7 @@ DEPTHS = {
 
 
 def test_e13_agreement(k3_k2):
-    it = QLhsInterpreter(k3_k2, fuel=10 ** 9)
+    it = QLhsInterpreter(k3_k2, budget=Budget(10 ** 9))
     rows = []
     for depth, text in DEPTHS.items():
         f = parse(text)
@@ -47,7 +48,7 @@ def test_e13_calculus_route(benchmark, k3_k2, depth):
 
 @pytest.mark.parametrize("depth", [0, 1, 2])
 def test_e13_algebra_route(benchmark, k3_k2, depth):
-    it = QLhsInterpreter(k3_k2, fuel=10 ** 9)
+    it = QLhsInterpreter(k3_k2, budget=Budget(10 ** 9))
     f = parse(DEPTHS[depth])
 
     def run():

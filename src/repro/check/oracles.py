@@ -26,7 +26,7 @@ The oracles:
     Cold engine == warm engine == fresh-cache engine — the
     fingerprint-keyed cache may never change an answer.
 ``budget``
-    Budget monotonicity: more fuel never flips TRUE↔FALSE, and an
+    Budget monotonicity: a larger budget never flips TRUE↔FALSE, and an
     answer known under a small budget stays known under a larger one.
 ``rewrites``
     Double negation, implication elimination, and NNF/De Morgan
@@ -398,7 +398,7 @@ def cache(ctx: CaseContext) -> OracleOutcome:
 
 
 def budget(ctx: CaseContext) -> OracleOutcome:
-    """Budget monotonicity: more fuel never flips TRUE↔FALSE."""
+    """Budget monotonicity: a larger budget never flips TRUE↔FALSE."""
     plan = _primary_plan(ctx)
     if plan is None:
         return OracleOutcome("budget", SKIP, "no engine plan")
@@ -419,7 +419,7 @@ def budget(ctx: CaseContext) -> OracleOutcome:
         if known is not None and v.conflicts(known):
             return OracleOutcome(
                 "budget", FAIL,
-                f"more fuel flipped {known.status.upper()} to "
+                f"a larger budget flipped {known.status.upper()} to "
                 f"{v.status.upper()} at {steps} steps on "
                 f"{ctx.case.describe()}")
         if v.known and known is None:

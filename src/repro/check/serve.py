@@ -30,7 +30,7 @@ from ..qlhs.parser import parse_program, parse_term
 from ..serve.catalog import Catalog
 from ..serve.client import ServeClient
 from ..serve.config import ServeConfig, default_config
-from ..trace import Budget, limits
+from ..trace import Budget
 
 #: The deterministic query pool: ``(database, frontend, text)`` rows
 #: over the default catalog.  Spans all four frontends, every verdict
@@ -143,8 +143,3 @@ def run_serve_check(base_url: str, *,
                 "served": list(got), "in_process": list(expected)})
     return {"cases": len(rows), "agreements": agreements,
             "disagreements": disagreements}
-
-
-def default_max_steps() -> int:
-    """The pool's reference step allowance (the registry knob)."""
-    return limits.SERVE_REQUEST

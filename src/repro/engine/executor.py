@@ -71,7 +71,6 @@ from ..fcf.relation import FcfValue
 from ..qlhs.interpreter import QLhsInterpreter, Value
 from ..symmetric.hsdb import HSDatabase
 from ..trace import Budget, limits, span
-from ..trace.budget import as_budget
 from .cache import EngineCache, ResultCache
 from .compile import compile_plan
 from .fingerprint import fingerprint
@@ -136,14 +135,11 @@ class Engine:
         fingerprint-equal databases.  A private cache is created when
         omitted.
     budget:
-        The engine's :class:`~repro.trace.Budget` template (or an int
-        shorthand for ``Budget(max_steps=...)``).  Every evaluation
-        :meth:`forks <repro.trace.Budget.fork>` it, so each call gets
-        the full per-evaluation step allowance while sharing the
-        deadline and the cancellation flag.  Default:
+        The engine's :class:`~repro.trace.Budget` template.  Every
+        evaluation :meth:`forks <repro.trace.Budget.fork>` it, so each
+        call gets the full per-evaluation step allowance while sharing
+        the deadline and the cancellation flag.  Default:
         :data:`repro.trace.limits.ENGINE` steps, no deadline.
-    fuel:
-        Deprecated alias: ``fuel=N`` means ``budget=Budget(max_steps=N)``.
     optimize:
         Run the :mod:`repro.engine.optimize` rewrite rules during plan
         preparation (default on; only applies to hs engines).
@@ -158,8 +154,7 @@ class Engine:
 
     def __init__(self, db: HSDatabase | FcfDatabase, *,
                  cache: EngineCache | None = None,
-                 budget: Budget | int | None = None,
-                 fuel: int | None = None,
+                 budget: Budget | None = None,
                  optimize: bool = True,
                  compiled: bool = True):
         if not isinstance(db, (HSDatabase, FcfDatabase)):
@@ -168,7 +163,7 @@ class Engine:
                 f"{type(db).__name__}")
         self.db = db
         self.cache = cache if cache is not None else EngineCache()
-        self.budget = as_budget(budget, fuel, default_steps=limits.ENGINE)
+        self.budget = budget if budget is not None else Budget(limits.ENGINE)
         self.optimize = optimize
         self.compiled = compiled
         self.fingerprint = fingerprint(db)
@@ -183,11 +178,6 @@ class Engine:
         self._timing = threading.local()
 
     # -- properties ---------------------------------------------------------
-
-    @property
-    def fuel(self) -> int | None:
-        """Deprecated alias for ``budget.max_steps``."""
-        return self.budget.max_steps
 
     @property
     def is_hs(self) -> bool:
@@ -249,7 +239,7 @@ class Engine:
         return self._truth(self.evaluate(plan))
 
     def eval(self, plan: Plan, *,
-             budget: Budget | int | None = None) -> Verdict:
+             budget: Budget | None = None) -> Verdict:
         """Evaluate under the three-valued divergence contract.
 
         Unlike :meth:`evaluate`, a tripped :class:`~repro.trace.Budget`
@@ -263,15 +253,11 @@ class Engine:
           (``out_of_fuel`` / ``deadline`` / ``cancelled``) and the step
           count reached.
 
-        ``budget`` overrides the per-evaluation budget (an int is
-        shorthand for ``Budget(max_steps=...)``); by default the engine
-        budget is forked, so every ``eval`` gets the full step
+        ``budget`` overrides the per-evaluation budget; by default the
+        engine budget is forked, so every ``eval`` gets the full step
         allowance while sharing the deadline and cancellation flag.
         """
-        if budget is None:
-            run = self.budget.fork()
-        else:
-            run = as_budget(budget)
+        run = budget if budget is not None else self.budget.fork()
         with span("engine.eval") as sp:
             try:
                 value = self.evaluate(plan, budget=run)
@@ -401,32 +387,13 @@ class Engine:
         self._stats.add(wall_time=t.seconds)
         return answers
 
-    def batch_evaluate(self, plans: Sequence[Plan]) -> list:
-        """Evaluate several plans (shared sub-plans are computed once).
-
-        Like :meth:`eval_batch`, the members' common subplans are
-        pinned as compiled-path boundaries so the sharing survives
-        closure fusion.
-        """
-        prepared = [self.prepare(p) for p in plans]
-        token = _BATCH_SHARED.set(common_subplans(prepared))
-        try:
-            return [self.evaluate(p) for p in prepared]
-        finally:
-            _BATCH_SHARED.reset(token)
-
     # -- stats --------------------------------------------------------------
 
     def stats(self):
         """An immutable :class:`~repro.engine.stats.EngineStats` snapshot.
 
-        Thread-safe; note that ``oracle_questions`` is attributed per
-        evaluation by before/after deltas on the database's shared
-        oracle counter, so when several threads evaluate through one
-        engine concurrently the per-engine total can double-count
-        overlapping windows — the database-level
-        ``db.equiv.calls`` counter itself stays exact
-        (``docs/concurrency.md``).
+        Thread-safe.  ``oracle_questions`` is exact under concurrency:
+        each evaluation counts only the questions its own thread asked.
         """
         optimizations, rewrites = self.cache.plans.optimizer_stats()
         return self._stats.snapshot(self.cache.plans.stats(),
@@ -468,8 +435,8 @@ class Engine:
     # -- internals ----------------------------------------------------------
 
     def _oracle_calls(self) -> int:
-        """Cumulative ``≅_B`` oracle questions the database has answered."""
-        return self.db.equiv.calls if self.is_hs else 0
+        """Cumulative ``≅_B`` oracle questions this thread has asked."""
+        return self.db.equiv.thread_calls if self.is_hs else 0
 
     def _node_budget(self, max_steps: int | None = None) -> Budget:
         """The budget a fixpoint node runs under.

@@ -60,15 +60,11 @@ class CacheStats:
 
     @staticmethod
     def from_dict(data: dict) -> "CacheStats":
-        """Rebuild a :class:`CacheStats` from :meth:`to_dict` output.
-
-        Accepts pre-split dicts (no ``shared_*`` keys) for wire
-        compatibility with older serving tiers.
-        """
+        """Rebuild a :class:`CacheStats` from :meth:`to_dict` output."""
         return CacheStats(hits=data["hits"], misses=data["misses"],
                           evictions=data["evictions"], size=data["size"],
-                          shared_hits=data.get("shared_hits", 0),
-                          shared_misses=data.get("shared_misses", 0))
+                          shared_hits=data["shared_hits"],
+                          shared_misses=data["shared_misses"])
 
     def merge(self, other: "CacheStats") -> "CacheStats":
         """The element-wise sum of two snapshots (disjoint caches)."""
@@ -133,7 +129,8 @@ class EngineStats:
 
     ``oracle_questions`` counts ``≅_B`` oracle invocations (the
     :class:`~repro.util.memo.CallCounter` wrapped around the database's
-    equivalence predicate) — the paper's currency.  ``node_timings``
+    equivalence predicate) on the evaluating threads — the paper's
+    currency.  ``node_timings``
     maps plan-node kind to ``(executions, total_seconds)``.
     """
 

@@ -29,7 +29,6 @@ from collections.abc import Mapping
 
 from ..errors import RankMismatchError, TypeSignatureError
 from ..trace import Budget, limits, span
-from ..trace.budget import as_budget
 from ..qlhs.ast import (
     Assign,
     Comp,
@@ -62,17 +61,12 @@ class WhileFinite(Program):
 class QLfInterpreter:
     """Execute QLf+ programs against an fcf-r-db."""
 
-    def __init__(self, database: FcfDatabase, fuel: int | None = None, *,
-                 budget: Budget | int | None = None):
+    def __init__(self, database: FcfDatabase, *,
+                 budget: Budget | None = None):
         self.database = database
         self.df = sorted(database.df, key=repr)
-        self.budget = as_budget(budget, fuel,
-                                default_steps=limits.QLF_INTERPRETER)
-
-    @property
-    def fuel(self) -> int | None:
-        """Deprecated alias for ``budget.max_steps``."""
-        return self.budget.max_steps
+        self.budget = (budget if budget is not None
+                       else Budget(limits.QLF_INTERPRETER))
 
     @property
     def steps(self) -> int:

@@ -32,7 +32,6 @@ from collections.abc import Callable, Mapping
 
 from ..errors import MachineError
 from ..trace import Budget, limits, span
-from ..trace.budget import as_budget
 
 Tape = tuple
 Store = dict  # name -> frozenset of tuples
@@ -126,21 +125,18 @@ class GenericMachine:
         self.start_state = start_state
         self.name = name
 
-    def run(self, input_store: Mapping[str, frozenset],
-            fuel: int | None = None, *,
-            budget: Budget | int | None = None) -> tuple[Store, RunMetrics]:
+    def run(self, input_store: Mapping[str, frozenset], *,
+            budget: Budget | None = None) -> tuple[Store, RunMetrics]:
         """Execute from a single unit with the input relations in store.
 
         Returns the final (single) unit's store and the run metrics.
         Raises :class:`MachineError` if the computation does not end
         with exactly one halted unit with an empty tape.
 
-        One budget step is one *synchronous* step of all live units;
-        ``fuel=N`` is the deprecated alias for
-        ``budget=Budget(max_steps=N)`` (default
-        :data:`repro.trace.limits.GM_RUN`).
+        One budget step is one *synchronous* step of all live units
+        (default :data:`repro.trace.limits.GM_RUN`).
         """
-        budget = as_budget(budget, fuel, default_steps=limits.GM_RUN)
+        budget = budget if budget is not None else Budget(limits.GM_RUN)
         units = [UnitGM(self.start_state, (),
                         {k: frozenset(v) for k, v in input_store.items()})]
         metrics = RunMetrics()

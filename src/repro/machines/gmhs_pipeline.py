@@ -30,7 +30,6 @@ from ..qlhs.completeness import ModelOracle, QueryProcedure
 from ..qlhs.interpreter import Value
 from ..symmetric.hsdb import HSDatabase
 from ..trace import Budget, limits, span
-from ..trace.budget import as_budget
 from .generic import RunMetrics
 from .gmhs import GMhsMachine, Halt, Load, StoreCanonical
 
@@ -83,9 +82,8 @@ def _loader_machine(hsdb: HSDatabase, depth: int) -> GMhsMachine:
 
 
 def run_query_gmhs(hsdb: HSDatabase, machine: QueryProcedure,
-                   search_window: int = 512,
-                   fuel: int | None = None, *,
-                   budget: Budget | int | None = None
+                   search_window: int = 512, *,
+                   budget: Budget | None = None
                    ) -> tuple[Value, RunMetrics]:
     """Run a recursive generic query end to end, GMhs-style.
 
@@ -94,13 +92,12 @@ def run_query_gmhs(hsdb: HSDatabase, machine: QueryProcedure,
     narrative is about.
 
     The whole pipeline runs under one :class:`~repro.trace.Budget`
-    (``fuel=N`` is the deprecated alias, default
-    :data:`repro.trace.limits.GMHS_PIPELINE`): the loading stage
-    charges per synchronous GMhs step, and the budget's deadline /
+    (default :data:`repro.trace.limits.GMHS_PIPELINE`): the loading
+    stage charges per synchronous GMhs step, and the budget's deadline /
     cancellation flag are re-checked between stages so a cancelled run
     stops at the next stage boundary.
     """
-    budget = as_budget(budget, fuel, default_steps=limits.GMHS_PIPELINE)
+    budget = budget if budget is not None else Budget(limits.GMHS_PIPELINE)
     with span("gmhs.pipeline", database=getattr(hsdb, "name", "?")):
         # Stage 1: load the C's with genuine spawn/collapse mechanics.
         with span("gmhs.load"):
@@ -133,9 +130,9 @@ def run_query_gmhs(hsdb: HSDatabase, machine: QueryProcedure,
         # levels" step).
         budget.check()
         with span("gmhs.machine") as sp:
-            before = hsdb.equiv.calls
+            before = hsdb.equiv.thread_calls
             output = machine(oracle)
-            sp.count("oracle_questions", hsdb.equiv.calls - before)
+            sp.count("oracle_questions", hsdb.equiv.thread_calls - before)
 
         # Stage 4: decode and store canonically (the final collapse).
         budget.check()

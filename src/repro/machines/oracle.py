@@ -31,7 +31,6 @@ from collections.abc import Sequence
 from ..core.query import DatabaseOracle, OracleQuery
 from ..errors import MachineError
 from ..trace import Budget, limits, span
-from ..trace.budget import as_budget
 
 
 @dataclass(frozen=True)
@@ -122,18 +121,15 @@ class OracleProgram:
                     raise MachineError(
                         f"instruction {pc}: ASK arity mismatch")
 
-    def run(self, oracle: DatabaseOracle, u: tuple,
-            fuel: int | None = None, *,
-            budget: Budget | int | None = None) -> bool:
+    def run(self, oracle: DatabaseOracle, u: tuple, *,
+            budget: Budget | None = None) -> bool:
         """Decide ``u ∈ Q(B)`` through the oracle.
 
         One budget step is one executed instruction (``ASK`` questions
-        are additionally charged to the budget's oracle allowance);
-        ``fuel=N`` is the deprecated alias for
-        ``budget=Budget(max_steps=N)`` (default
-        :data:`repro.trace.limits.ORACLE_RUN`).
+        are additionally charged to the budget's oracle allowance;
+        default :data:`repro.trace.limits.ORACLE_RUN`).
         """
-        budget = as_budget(budget, fuel, default_steps=limits.ORACLE_RUN)
+        budget = budget if budget is not None else Budget(limits.ORACLE_RUN)
         registers: list = [None] * self.num_registers
         enumerator = iter(oracle.domain)
         pc = 0
@@ -178,16 +174,15 @@ class OracleProgram:
                 if pc >= len(self.instructions):
                     raise MachineError(f"{self.name}: fell off the program")
 
-    def as_rquery(self, output_rank: int | None = None,
-                  fuel: int | None = None, *,
-                  budget: Budget | int | None = None) -> OracleQuery:
+    def as_rquery(self, output_rank: int | None = None, *,
+                  budget: Budget | None = None) -> OracleQuery:
         """The r-query this machine computes (Definition 2.4).
 
         Each membership test runs under a *fork* of the given budget,
         so every tuple gets the full per-run allowance while deadlines
         and cancellation still span the whole query.
         """
-        base = as_budget(budget, fuel, default_steps=limits.ORACLE_RUN)
+        base = budget if budget is not None else Budget(limits.ORACLE_RUN)
         return OracleQuery(
             self.type_signature,
             lambda oracle, u: self.run(oracle, u, budget=base.fork()),

@@ -33,8 +33,7 @@ from itertools import product
 from ..errors import NotHighlySymmetricError
 from ..symmetric.hsdb import HSDatabase
 from ..symmetric.tree import Path
-from ..trace import limits, span
-from ..trace.budget import as_budget
+from ..trace import Budget, limits, span
 from ..util.seqs import distinct, project
 from .ast import Down, Term
 from .derived import (
@@ -282,11 +281,11 @@ class PQPipeline:
     ``⋃ d[i₁,…,i_m]``).
     """
 
-    def __init__(self, hsdb: HSDatabase, fuel: int | None = None,
-                 search_window: int = 512, *, budget=None):
+    def __init__(self, hsdb: HSDatabase, search_window: int = 512, *,
+                 budget: Budget | None = None):
         self.hsdb = hsdb
-        self.budget = as_budget(budget, fuel,
-                                default_steps=limits.PQ_PIPELINE)
+        self.budget = (budget if budget is not None
+                       else Budget(limits.PQ_PIPELINE))
         self.interpreter = QLhsInterpreter(hsdb, budget=self.budget)
         self.search_window = search_window
 
@@ -301,10 +300,10 @@ class PQPipeline:
                 oracle = ModelOracle(self.hsdb, d,
                                      search_window=self.search_window)
             with span("pq.machine") as sp:
-                before = self.hsdb.equiv.calls
+                before = self.hsdb.equiv.thread_calls
                 output = machine(oracle)
                 sp.count("oracle_questions",
-                         self.hsdb.equiv.calls - before)
+                         self.hsdb.equiv.thread_calls - before)
             with span("pq.decode"):
                 return self._decode(oracle, output)
 

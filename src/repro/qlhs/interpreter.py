@@ -19,7 +19,6 @@ from collections.abc import Iterable, Mapping
 from ..errors import RankMismatchError, TypeSignatureError
 from ..symmetric.hsdb import HSDatabase
 from ..trace import Budget, limits, span
-from ..trace.budget import as_budget
 from ..symmetric.tree import Path
 from ..util.seqs import swap_last_two
 from .ast import (
@@ -90,24 +89,18 @@ class QLhsInterpreter:
         one executed statement or term operation (bulk operations cost
         their output size).  Exceeding any dimension raises
         :class:`~repro.errors.OutOfFuel` (QLhs expresses partial
-        queries).  ``fuel=N`` is the deprecated alias for
-        ``budget=Budget(max_steps=N)`` (default
-        :data:`repro.trace.limits.QLHS_INTERPRETER`).
+        queries; default :data:`repro.trace.limits.QLHS_INTERPRETER`).
+        Oracle questions are charged from the calling thread's count,
+        so other threads sharing ``hsdb`` never spend this budget.
     """
 
-    def __init__(self, hsdb: HSDatabase, fuel: int | None = None, *,
-                 budget: Budget | int | None = None):
+    def __init__(self, hsdb: HSDatabase, *, budget: Budget | None = None):
         self.hsdb = hsdb
-        self.budget = as_budget(budget, fuel,
-                                default_steps=limits.QLHS_INTERPRETER)
-        self._oracle_seen = hsdb.equiv.calls
+        self.budget = (budget if budget is not None
+                       else Budget(limits.QLHS_INTERPRETER))
+        self._oracle_seen = hsdb.equiv.thread_calls
 
     # -- accounting --------------------------------------------------------
-
-    @property
-    def fuel(self) -> int | None:
-        """Deprecated alias for ``budget.max_steps``."""
-        return self.budget.max_steps
 
     @property
     def steps(self) -> int:
@@ -117,7 +110,7 @@ class QLhsInterpreter:
     def _tick(self, cost: int = 1) -> None:
         self.budget.charge(cost)
         if self.budget.max_oracle_calls is not None:
-            calls = self.hsdb.equiv.calls
+            calls = self.hsdb.equiv.thread_calls
             if calls > self._oracle_seen:
                 self.budget.charge_oracle(calls - self._oracle_seen)
                 self._oracle_seen = calls
@@ -239,13 +232,13 @@ class QLhsInterpreter:
         store: dict[str, Value] = dict(inputs or {})
         with span("qlhs.execute") as sp:
             steps_before = self.budget.steps
-            oracle_before = self.hsdb.equiv.calls
+            oracle_before = self.hsdb.equiv.thread_calls
             try:
                 self._exec(program, store)
             finally:
                 sp.count("steps", self.budget.steps - steps_before)
                 sp.count("oracle_questions",
-                         self.hsdb.equiv.calls - oracle_before)
+                         self.hsdb.equiv.thread_calls - oracle_before)
         return store
 
     def _exec(self, program: Program, store: dict[str, Value]) -> None:

@@ -5,8 +5,6 @@ library executes under:
 
 * :mod:`repro.trace.budget` — :class:`Budget`: max steps, max oracle
   questions, wall-clock deadline, cooperative :meth:`Budget.cancel`;
-  the :func:`as_budget` shim that keeps the historical ``fuel=``
-  integers working as deprecated aliases;
 * :mod:`repro.trace.limits` — the single registry of every default
   budget in the library (rendered as ``docs/limits.md`` and
   cross-checked by a unit test);
@@ -38,7 +36,6 @@ from .budget import (
     OUT_OF_FUEL,
     REASONS,
     Budget,
-    as_budget,
 )
 from .recorder import Trace, TraceRecorder
 from .spans import (
@@ -68,7 +65,6 @@ __all__ = [
     "TraceRecorder",
     "active_recorder",
     "add_counter",
-    "as_budget",
     "current_span",
     "install",
     "propagate_span",

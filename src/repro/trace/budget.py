@@ -4,9 +4,9 @@ Queries over recursive databases express *partial* functions — QLhs
 while-loops, GMhs runs, and counter machines can diverge — so every
 execution is governed by a :class:`Budget`: a step allowance, an
 optional oracle-question allowance, an optional wall-clock deadline,
-and a cooperative cancellation flag.  A budget replaces the scattered
-``fuel`` integers of earlier revisions (those keyword parameters
-survive as deprecated aliases that construct a budget).
+and a cooperative cancellation flag.  Every governed entry point takes
+a keyword-only ``budget: Budget | None``; ``None`` means the entry
+point's registered default from :mod:`repro.trace.limits`.
 
 Exhausting any dimension raises :class:`~repro.errors.OutOfFuel`
 carrying a machine-readable ``reason`` (:data:`OUT_OF_FUEL`,
@@ -302,36 +302,3 @@ class Budget:
             parts.append("cancelled")
         return f"Budget({', '.join(parts)})"
 
-
-def as_budget(budget: "Budget | int | None" = None,
-              fuel: int | None = None, *,
-              default_steps: int | None = None) -> Budget:
-    """Coerce the ``(budget, fuel)`` parameter pair into a :class:`Budget`.
-
-    This is the deprecated-alias shim every governed entry point uses:
-    ``fuel=N`` (the historical integer knob) constructs
-    ``Budget(max_steps=N)``; an integer ``budget`` does the same; a
-    :class:`Budget` passes through; and with neither, the entry point's
-    registered default from :mod:`repro.trace.limits` applies.
-
-    Doctest::
-
-        >>> from repro.trace.budget import as_budget
-        >>> as_budget(fuel=7).max_steps           # deprecated alias
-        7
-        >>> as_budget(default_steps=99).max_steps
-        99
-        >>> b = Budget(max_steps=5)
-        >>> as_budget(b) is b
-        True
-    """
-    if budget is not None and fuel is not None:
-        raise ValueError("pass either budget= or the deprecated fuel=, "
-                         "not both")
-    if budget is not None:
-        if isinstance(budget, Budget):
-            return budget
-        return Budget(max_steps=int(budget))
-    if fuel is not None:
-        return Budget(max_steps=int(fuel))
-    return Budget(max_steps=default_steps)

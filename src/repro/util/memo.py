@@ -128,6 +128,12 @@ def lru_cached(maxsize: int = 65536) -> Callable[[Callable[..., R]], Callable[..
     return decorate
 
 
+class _ThreadCount(threading.local):
+    """One thread's invocation count (0 until that thread calls)."""
+
+    calls = 0
+
+
 class CallCounter:
     """Wrap a callable and count its invocations.
 
@@ -135,9 +141,12 @@ class CallCounter:
     through "is u ∈ Rᵢ?" questions, and experiments report how many such
     questions each algorithm asks.
 
-    The counter increment is atomic (guarded by a private lock), so a
-    database shared between engine threads never loses oracle-question
-    counts to an interleaved ``calls += 1``.  The wrapped callable runs
+    ``calls`` counts every thread's invocations; the increment is
+    atomic (guarded by a private lock), so a database shared between
+    engine threads never loses oracle-question counts to an interleaved
+    ``calls += 1``.  :attr:`thread_calls` counts the calling thread's
+    invocations only, so one evaluation's before/after delta never
+    includes another thread's questions.  The wrapped callable runs
     *outside* the lock.
 
     Doctest::
@@ -145,8 +154,8 @@ class CallCounter:
         >>> counted = CallCounter(abs, name="abs")
         >>> counted(-3), counted(4)
         (3, 4)
-        >>> counted.calls
-        2
+        >>> counted.calls, counted.thread_calls
+        (2, 2)
         >>> counted.reset(); counted
         CallCounter(abs, calls=0)
     """
@@ -156,16 +165,24 @@ class CallCounter:
         self.name = name or getattr(fn, "__name__", "callable")
         self.calls = 0
         self._lock = threading.Lock()
+        self._local = _ThreadCount()
 
     def __call__(self, *args, **kwargs) -> R:
+        self._local.calls += 1
         with self._lock:
             self.calls += 1
         return self._fn(*args, **kwargs)
 
+    @property
+    def thread_calls(self) -> int:
+        """Invocations made from the calling thread."""
+        return self._local.calls
+
     def reset(self) -> None:
-        """Zero the call counter."""
+        """Zero the call counters (every thread's)."""
         with self._lock:
             self.calls = 0
+            self._local = _ThreadCount()
 
     def __repr__(self) -> str:
         return f"CallCounter({self.name}, calls={self.calls})"

@@ -1,6 +1,8 @@
 """``docs/limits.md`` must match :data:`repro.trace.limits.REGISTRY`
 and the live defaults of the governed entry points."""
 
+import importlib
+import inspect
 from pathlib import Path
 
 import pytest
@@ -13,6 +15,8 @@ from repro.finite.ql import QLInterpreter
 from repro.graphs import mixed_components_hsdb, path_db
 from repro.qlhs.completeness import PQPipeline
 from repro.qlhs.interpreter import QLhsInterpreter
+from repro.errors import OutOfFuel
+from repro.machines.counter import CounterMachine, Jmp
 from repro.trace import limits
 
 DOC = Path(__file__).resolve().parents[2] / "docs" / "limits.md"
@@ -51,6 +55,42 @@ class TestTableMatchesRegistry:
         assert len(set(locations)) == len(locations)
 
 
+def resolve(location: str):
+    """The object a registry ``location`` names (module, then attrs)."""
+    parts = location.split(".")
+    for cut in range(len(parts), 0, -1):
+        try:
+            target = importlib.import_module(".".join(parts[:cut]))
+        except ImportError:
+            continue
+        for attr in parts[cut:]:
+            target = getattr(target, attr)
+        return target
+    raise ImportError(location)
+
+
+BUDGET_SPECS = [spec for spec in limits.REGISTRY
+                if spec.parameter == "budget"]
+
+
+class TestRegistrySignatures:
+    """Every ``budget`` row names a live keyword-only ``Budget | None``
+    parameter, and no entry point has a parameter named ``fuel``."""
+
+    def test_budget_rows_exist(self):
+        assert len(BUDGET_SPECS) == 10
+
+    @pytest.mark.parametrize("spec", BUDGET_SPECS,
+                             ids=[s.location for s in BUDGET_SPECS])
+    def test_budget_is_keyword_only(self, spec):
+        parameters = inspect.signature(resolve(spec.location)).parameters
+        assert "fuel" not in parameters
+        budget = parameters["budget"]
+        assert budget.kind is inspect.Parameter.KEYWORD_ONLY
+        assert budget.default is None
+        assert budget.annotation == "Budget | None"
+
+
 class TestLiveDefaultsMatchRegistry:
     """The registry must describe what the code actually does."""
 
@@ -72,6 +112,11 @@ class TestLiveDefaultsMatchRegistry:
     def test_ql_interpreter_default(self):
         interp = QLInterpreter(path_db(3))
         assert interp.budget.max_steps == limits.QL_INTERPRETER
+
+    def test_counter_run_default(self):
+        with pytest.raises(OutOfFuel) as exc:
+            CounterMachine([Jmp(0)], num_registers=1).run([0])
+        assert exc.value.steps == limits.COUNTER_RUN + 1
 
     def test_machine_fixpoint_default(self):
         node = MachineFixpoint(lambda oracle: ())

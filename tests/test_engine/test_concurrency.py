@@ -2,11 +2,12 @@
 
 Each fast test here pins one of the concurrency fixes (atomic budgets,
 the locked result cache, context-scoped active budgets, mid-batch
-cancellation); on the pre-fix code every one of them fails —
-deterministically for the budget accounting (the old committing
-``charge`` always overshoots under contention) and probabilistically
-for the TOCTOU/interleaving races (the reduced GIL switch interval
-makes those reproduce in a few thousand operations).
+cancellation, per-thread oracle attribution); on the pre-fix code
+every one of them fails — deterministically for the budget accounting
+(the old committing ``charge`` always overshoots under contention) and
+the oracle attribution, and probabilistically for the
+TOCTOU/interleaving races (the reduced GIL switch interval makes those
+reproduce in a few thousand operations).
 The ``@pytest.mark.stress`` hammers are the long-haul versions the CI
 stress job runs (≥8 threads × ≥10k ops against one shared object).
 """
@@ -18,12 +19,12 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from repro.engine import Engine, EngineCache, ResultCache, Scan, \
-    plan_from_qlhs, plan_from_sentence
+    plan_from_gmhs, plan_from_qlhs, plan_from_sentence
 from repro.errors import OutOfFuel
 from repro.logic import parse
-from repro.qlhs import parse_program
+from repro.qlhs import QLhsInterpreter, parse_program
 from repro.symmetric import rado_hsdb
-from repro.trace import Budget
+from repro.trace import Budget, TraceRecorder, recording
 from repro.trace.budget import CANCELLED
 
 
@@ -223,6 +224,73 @@ class TestEngineReentrancy:
 
         errors = _run_threads(6, work)
         assert errors == []
+
+
+def _ask_from_another_thread(db, n=100):
+    """``n`` distinct ``≅_B`` questions on ``db`` from a fresh thread."""
+    def ask():
+        for i in range(n):
+            db.equiv((i, i + 1), (i + 1, i + 2))
+    thread = threading.Thread(target=ask)
+    thread.start()
+    thread.join(timeout=60)
+    assert not thread.is_alive()
+
+
+class TestOracleAttribution:
+    """Oracle questions count per thread: on a shared database, another
+    thread's questions neither spend this thread's oracle budget nor
+    inflate this thread's engine stats and spans.  Pre-fix, every delta
+    read the database-wide ``db.equiv.calls``."""
+
+    def test_foreign_questions_do_not_trip_budget(self):
+        db = rado_hsdb()
+        interp = QLhsInterpreter(
+            db, budget=Budget(10 ** 6, max_oracle_calls=5))
+        _ask_from_another_thread(db)
+        interp._tick()            # pre-fix: 100 foreign questions > 5
+        assert interp.budget.oracle_calls == 0
+        db.equiv((0, 1), (1, 2))
+        interp._tick()
+        assert interp.budget.oracle_calls == 1
+        assert db.equiv.calls == 101
+
+    def test_foreign_questions_do_not_inflate_engine_stats(self):
+        def evaluate(interfere):
+            db = rado_hsdb()
+
+            def machine(oracle):
+                if interfere:
+                    _ask_from_another_thread(db)
+                return set()
+
+            engine = Engine(db)
+            recorder = TraceRecorder()
+            with recording(recorder):
+                assert engine.eval(plan_from_gmhs(machine)).is_false
+            spans = recorder.trace().find("gmhs.machine")
+            return (engine.stats().oracle_questions,
+                    spans[0].counters["oracle_questions"], db.equiv.calls)
+
+        alone, machine_alone, calls_alone = evaluate(interfere=False)
+        shared, machine_shared, calls_shared = evaluate(interfere=True)
+        assert calls_shared == calls_alone + 100   # the database saw both
+        assert shared == alone
+        assert machine_shared == machine_alone == 0
+
+    def test_thread_counts_are_exact_under_contention(self, tight_gil):
+        db = rado_hsdb()
+        per_thread = {}
+
+        def work(i):
+            for j in range(2_000):
+                db.equiv((i, j), (j, i))
+            per_thread[i] = db.equiv.thread_calls
+
+        assert _run_threads(8, work) == []
+        assert per_thread == {i: 2_000 for i in range(8)}
+        assert db.equiv.calls == 16_000
+        assert db.equiv.thread_calls == 0      # the main thread asked none
 
 
 class TestCancellationMidBatch:

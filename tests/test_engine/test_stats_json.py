@@ -28,14 +28,6 @@ class TestCacheStatsRoundTrip:
                            shared_misses=2)
         assert CacheStats.from_dict(stats.to_dict()) == stats
 
-    def test_wire_compat_without_shared_fields(self):
-        """Older serialized payloads lack the shared split; they must
-        still deserialize (as zeros)."""
-        old = {"hits": 5, "misses": 2, "evictions": 0, "size": 1}
-        restored = CacheStats.from_dict(old)
-        assert restored.hits == 5
-        assert restored.shared_hits == restored.shared_misses == 0
-
 
 class TestOptimizerStatsRoundTrip:
     def test_round_trip(self):

@@ -29,6 +29,7 @@ from repro.finite import (
 )
 from repro.graphs import clique, infinite_line, mixed_components_hsdb, path_db
 from repro.qlhs.parser import parse_program, parse_term
+from repro.trace import Budget
 
 DOMAIN = [0, 1, 2]
 
@@ -123,7 +124,7 @@ class TestQLInterpreter:
 
     def test_while_and_fuel(self):
         P = path_db(2)
-        it = QLInterpreter(P, fuel=100)
+        it = QLInterpreter(P, budget=Budget(100))
         with pytest.raises(OutOfFuel):
             it.execute(parse_program(
                 "Z := down(down(down(E))) ; while |Z| = 0 do { Y := E }"))

@@ -29,6 +29,7 @@ from repro.logic import (
 from repro.machines.gmhs import children_explorer
 from repro.qlhs import PQPipeline, QLhsInterpreter, parse_program, parse_term
 from repro.symmetric import cross_check_equivalence, infinite_clique
+from repro.trace import Budget
 
 
 class TestQLhsVsQLOnUnfoldings:
@@ -51,7 +52,7 @@ class TestQLhsVsQLOnUnfoldings:
         cu = mixed_components_hsdb()
         program = parse_program(text)
 
-        hs_value = QLhsInterpreter(cu, fuel=10_000_000).run(program)
+        hs_value = QLhsInterpreter(cu, budget=Budget(10_000_000)).run(program)
 
         # The window must cover *whole* components: an unfolding that
         # cuts a component leaves its nodes with truncated
@@ -61,7 +62,8 @@ class TestQLhsVsQLOnUnfoldings:
         # kind.
         window = 10
         unfolded = unfold_hsdb(cu, window)
-        ql_value = QLInterpreter(unfolded, fuel=10_000_000).run(program)
+        ql_value = QLInterpreter(
+            unfolded, budget=Budget(10_000_000)).run(program)
 
         elements = unfolded.domain.first(window)
         from itertools import product

@@ -15,6 +15,7 @@ from repro.fcf import (
 from repro.graphs import mixed_components_hsdb
 from repro.qlhs import Comp, Inter, QLhsInterpreter, Rel, Swap, parse_term
 from repro.symmetric import infinite_clique
+from repro.trace import Budget
 
 
 # ---------------------------------------------------------------------------
@@ -96,7 +97,7 @@ class TestCanonicalizationProperties:
 class TestQLhsLaws:
     @pytest.fixture(scope="class")
     def it(self):
-        return QLhsInterpreter(mixed_components_hsdb(), fuel=10 ** 7)
+        return QLhsInterpreter(mixed_components_hsdb(), budget=Budget(10 ** 7))
 
     def test_double_complement(self, it):
         assert it.eval_term(parse_term("!(!R1)"), {}) == \

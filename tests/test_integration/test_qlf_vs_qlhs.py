@@ -11,6 +11,7 @@ import pytest
 
 from repro.fcf import FcfDatabase, QLfInterpreter, cofinite_value, finite_value
 from repro.qlhs import QLhsInterpreter, parse_program
+from repro.trace import Budget
 
 # E is excluded from the agreement battery: QLf+'s E is Df-relative
 # (Section 4's amended semantics) while QLhs's is domain-wide — the
@@ -45,9 +46,9 @@ def hs_db(fcf_db):
 def test_same_program_same_relation(fcf_db, hs_db, text):
     program = parse_program(text)
 
-    fcf_answer = QLfInterpreter(fcf_db, fuel=10 ** 7).execute(
+    fcf_answer = QLfInterpreter(fcf_db, budget=Budget(10 ** 7)).execute(
         program)["Y1"]
-    hs_answer = QLhsInterpreter(hs_db, fuel=10 ** 7).run(program)
+    hs_answer = QLhsInterpreter(hs_db, budget=Budget(10 ** 7)).run(program)
 
     probes = PROBE_RANKS.get(hs_answer.rank)
     assert probes is not None, f"unexpected rank {hs_answer.rank}"

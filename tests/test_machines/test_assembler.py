@@ -12,6 +12,7 @@ from repro.machines.assembler import (
     subtract_machine,
 )
 from repro.machines.counter import addition_machine
+from repro.trace import Budget
 
 
 class TestAssemble:
@@ -91,5 +92,5 @@ class TestAssembledInQLhs:
         from repro.symmetric import infinite_clique
         result = run_compiled(subtract_machine(), [9, 3],
                               QLhsInterpreter(infinite_clique(),
-                                              fuel=10 ** 9))
+                                              budget=Budget(10 ** 9)))
         assert result[0] == 6

@@ -20,6 +20,7 @@ from repro.machines.gmhs import (
     equivalence_filter,
 )
 from repro.symmetric import INFINITE, component_union, infinite_clique
+from repro.trace import Budget
 
 
 def k3_k2():
@@ -79,7 +80,7 @@ class TestGenericMachine:
     def test_fuel(self):
         gm = GenericMachine(lambda s, t, f: Continue("start", t))
         with pytest.raises(OutOfFuel):
-            gm.run({"C": frozenset({(1,)})}, fuel=50)
+            gm.run({"C": frozenset({(1,)})}, budget=Budget(50))
 
 
 class TestLoadingProtocol:

@@ -6,6 +6,7 @@ from repro.errors import MachineError
 from repro.graphs import mixed_components_hsdb, triangles_hsdb
 from repro.machines.gmhs_pipeline import run_query_gmhs
 from repro.symmetric import rado_hsdb
+from repro.trace import Budget
 
 
 def in_triangle(oracle):
@@ -74,7 +75,8 @@ class TestGMhsPipeline:
             "and x != y and y != z and x != z)")
         via_fo = relation_from_formula(cu, formula, [Var("x")])
         via_algebra = evaluate_via_algebra(
-            QLhsInterpreter(cu, fuel=10 ** 8), formula, [Var("x")]).paths
+            QLhsInterpreter(cu, budget=Budget(10 ** 8)), formula,
+            [Var("x")]).paths
         assert via_gmhs.paths == via_pq.paths == via_fo == via_algebra
 
     def test_triangles_only_db(self):

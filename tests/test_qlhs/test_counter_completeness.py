@@ -22,6 +22,7 @@ from repro.qlhs import (
     run_compiled,
 )
 from repro.symmetric import INFINITE, component_union, infinite_clique, rado_hsdb
+from repro.trace import Budget
 
 
 def k3_k2():
@@ -32,8 +33,9 @@ def k3_k2():
     return component_union([(tri, INFINITE), (edge, INFINITE)], name="K3+K2")
 
 
-def fresh_interp(hsdb=None, fuel=100_000_000):
-    return QLhsInterpreter(hsdb or infinite_clique(), fuel=fuel)
+def fresh_interp(hsdb=None, max_steps=100_000_000):
+    return QLhsInterpreter(hsdb or infinite_clique(),
+                           budget=Budget(max_steps))
 
 
 class TestCounterCompilation:

@@ -36,6 +36,7 @@ from repro.qlhs import (
     zero_test,
 )
 from repro.symmetric import INFINITE, component_union, infinite_clique
+from repro.trace import Budget
 
 
 def k3_k2():
@@ -48,12 +49,12 @@ def k3_k2():
 
 @pytest.fixture
 def it():
-    return QLhsInterpreter(infinite_clique(), fuel=2_000_000)
+    return QLhsInterpreter(infinite_clique(), budget=Budget(2_000_000))
 
 
 @pytest.fixture
 def cu_it():
-    return QLhsInterpreter(k3_k2(), fuel=5_000_000)
+    return QLhsInterpreter(k3_k2(), budget=Budget(5_000_000))
 
 
 class TestTermMacros:

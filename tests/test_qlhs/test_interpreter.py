@@ -17,6 +17,7 @@ from repro.qlhs import (
     seq,
 )
 from repro.symmetric import INFINITE, component_union, infinite_clique
+from repro.trace import Budget
 
 
 def k3_k2():
@@ -29,12 +30,12 @@ def k3_k2():
 
 @pytest.fixture
 def clique_interp():
-    return QLhsInterpreter(infinite_clique(), fuel=1_000_000)
+    return QLhsInterpreter(infinite_clique(), budget=Budget(1_000_000))
 
 
 @pytest.fixture
 def cu_interp():
-    return QLhsInterpreter(k3_k2(), fuel=1_000_000)
+    return QLhsInterpreter(k3_k2(), budget=Budget(1_000_000))
 
 
 class TestValues:
@@ -171,7 +172,7 @@ class TestPrograms:
         assert v.is_empty
 
     def test_fuel_exhaustion(self):
-        it = QLhsInterpreter(infinite_clique(), fuel=200)
+        it = QLhsInterpreter(infinite_clique(), budget=Budget(200))
         diverging = parse_program(
             "Z := down(down(down(E))) ; while |Z| = 0 do { Y := E }")
         with pytest.raises(OutOfFuel):

@@ -11,11 +11,12 @@ from repro.qlhs import (
 )
 from repro.qlhs.derived import rank_of
 from repro.symmetric import infinite_clique
+from repro.trace import Budget
 
 
 @pytest.fixture(scope="module")
 def it():
-    return QLhsInterpreter(infinite_clique(), fuel=10 ** 7)
+    return QLhsInterpreter(infinite_clique(), budget=Budget(10 ** 7))
 
 
 def measured_rank(it, source_text: str) -> int:

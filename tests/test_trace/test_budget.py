@@ -1,4 +1,4 @@
-"""Unit tests for :class:`repro.trace.Budget` and the alias shim."""
+"""Unit tests for :class:`repro.trace.Budget`."""
 
 import time
 
@@ -11,7 +11,6 @@ from repro.trace.budget import (
     DEADLINE,
     OUT_OF_FUEL,
     REASONS,
-    as_budget,
 )
 
 
@@ -30,6 +29,9 @@ class TestStepBudget:
             b.charge()
         assert exc.value.reason == OUT_OF_FUEL
         assert exc.value.steps == 4
+
+    def test_reason_vocabulary_is_closed(self):
+        assert REASONS == (OUT_OF_FUEL, DEADLINE, CANCELLED)
 
     def test_unbounded(self):
         b = Budget()
@@ -188,27 +190,6 @@ class TestFork:
         time.sleep(0.002)
         assert expired.remaining_seconds == 0.0
         assert "deadline_in=0.000s" in repr(expired)
-
-
-class TestAsBudget:
-    def test_passthrough(self):
-        b = Budget(max_steps=5)
-        assert as_budget(b) is b
-
-    def test_int_budget_and_deprecated_alias(self):
-        assert as_budget(17).max_steps == 17
-        assert as_budget(fuel=17).max_steps == 17
-
-    def test_default(self):
-        assert as_budget(default_steps=99).max_steps == 99
-        assert as_budget().max_steps is None
-
-    def test_both_rejected(self):
-        with pytest.raises(ValueError):
-            as_budget(Budget(), fuel=5)
-
-    def test_reason_vocabulary_is_closed(self):
-        assert REASONS == (OUT_OF_FUEL, DEADLINE, CANCELLED)
 
 
 class TestAtomicCharging:
