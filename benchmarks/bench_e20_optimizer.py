@@ -11,6 +11,13 @@ questions of the naive interpreted path vs the default
 optimized+compiled path, with bit-for-bit verdict agreement asserted
 every round.  Gate: ≥5× cold speedup (≥2× under ``--quick``).
 
+A second phase times *cold preparation* — what a never-seen query pays
+before evaluation starts: normalize + optimize through a fresh
+:class:`~repro.engine.cache.PlanCache` per round over the seeded corpus
+of :mod:`repro.check.golden`, reported as µs and rewrites per query.
+Its gate is exactness, not speed: the prepared plans, rewrite tallies
+and pass counts must match the pinned ``PREPARE_DIGEST``.
+
 Run under pytest (tier-2: ``pytest benchmarks/bench_e20_optimizer.py
 -s``) or as a script emitting the E20 JSON artifact::
 
@@ -18,10 +25,21 @@ Run under pytest (tier-2: ``pytest benchmarks/bench_e20_optimizer.py
 """
 
 import json
+import statistics
 import sys
 import time
 
-from repro.engine import Engine, EngineCache, plan_from_sentence
+from repro.check.golden import (
+    PREPARE_DIGEST,
+    prepare_corpus,
+    prepare_digest,
+)
+from repro.engine import (
+    Engine,
+    EngineCache,
+    optimize_result,
+    plan_from_sentence,
+)
 from repro.engine.cache import PlanCache
 from repro.logic import parse
 from repro.symmetric import rado_hsdb
@@ -113,6 +131,30 @@ def measure(rounds: int = ROUNDS) -> dict:
     }
 
 
+def measure_cold_prepare(rounds: int = ROUNDS) -> dict:
+    """Cold preparation of the golden corpus: a fresh plan cache per
+    round (median reported), and the digest of what it prepared."""
+    corpus = prepare_corpus()
+    per_round = []
+    for __ in range(rounds):
+        plans = PlanCache()
+        t0 = time.perf_counter()
+        prepared = [plans.prepared(plan, sig) for sig, plan in corpus]
+        per_round.append(time.perf_counter() - t0)
+    __, rewrites = plans.optimizer_stats()
+    digest = prepare_digest(
+        (p, optimize_result(plan, sig))
+        for p, (sig, plan) in zip(prepared, corpus))
+    return {
+        "queries": len(corpus),
+        "rounds": rounds,
+        "us_per_query": statistics.median(per_round) / len(corpus) * 1e6,
+        "rewrites_per_query": sum(n for __, n in rewrites) / len(corpus),
+        "digest": digest,
+        "digest_matches": digest == PREPARE_DIGEST,
+    }
+
+
 def _report(data: dict) -> None:
     interp = data["interpreted"]
     fast = data["optimized_compiled"]
@@ -126,12 +168,24 @@ def _report(data: dict) -> None:
         ("rewrites", sum(data["rewrites"].values()),
          f"across {data['optimizations']} optimized plans"),
     ])
+    cold = data["cold_prepare"]
+    report("E20 cold prepare (golden corpus, fresh plan cache per round)", [
+        ("prepare", f"{cold['us_per_query']:.0f} us/query",
+         f"median of {cold['rounds']} rounds x {cold['queries']} queries"),
+        ("rewrites", f"{cold['rewrites_per_query']:.2f} per query"),
+        ("digest", "matches" if cold["digest_matches"] else "MOVED",
+         cold["digest"][:16]),
+    ])
 
 
 def test_e20_optimizer_speedup():
     """Optimized+compiled cold evaluation beats interpreted ≥5×."""
     data = measure(ROUNDS)
+    data["cold_prepare"] = measure_cold_prepare(ROUNDS)
     _report(data)
+    assert data["cold_prepare"]["digest_matches"], (
+        "E20: cold preparation moved a prepared plan, rewrite tally or "
+        "pass count")
     assert data["speedup"] >= GATE, (
         f"E20 gate: expected >= {GATE}x, measured "
         f"{data['speedup']:.2f}x")
@@ -152,14 +206,22 @@ def main(argv: list[str]) -> int:
                   file=sys.stderr)
             return 2
     gate = QUICK_GATE if quick else GATE
-    data = measure(QUICK_ROUNDS if quick else ROUNDS)
+    rounds = QUICK_ROUNDS if quick else ROUNDS
+    data = measure(rounds)
+    data["cold_prepare"] = measure_cold_prepare(rounds)
     data["gate"] = gate
-    data["passed"] = data["speedup"] >= gate
+    data["passed"] = (data["speedup"] >= gate
+                      and data["cold_prepare"]["digest_matches"])
     _report(data)
     if out:
         with open(out, "w") as fh:
             json.dump(data, fh, indent=2, sort_keys=True)
         print(f"wrote {out}")
+    if not data["cold_prepare"]["digest_matches"]:
+        print("E20 gate FAILED: prepared plans moved (digest "
+              f"{data['cold_prepare']['digest']} != {PREPARE_DIGEST})",
+              file=sys.stderr)
+        return 1
     if not data["passed"]:
         print(f"E20 gate FAILED: {data['speedup']:.2f}x < {gate}x",
               file=sys.stderr)

@@ -1,10 +1,11 @@
 """The engine's two-level cache.
 
-Level 1 — the **plan cache**: normalization (:func:`repro.engine.plan.
-normalize`) is pure but walks the whole plan tree; it is memoized with
-the kwargs-capable :func:`repro.util.memo.lru_cached`, so syntactically
-repeated plans (every warm request) skip the rewrite entirely and two
-differently written but ACI-equal plans converge on one key.
+Level 1 — the **plan cache**: preparation (normalize + optimize,
+:func:`repro.engine.optimize.optimize_result`) is pure but walks the
+whole plan tree; it is memoized with the kwargs-capable
+:func:`repro.util.memo.lru_cached`, so syntactically repeated plans
+(every warm request) skip it entirely and differently written but
+rewrite-equal plans converge on one result-cache key.
 
 Level 2 — the **result cache**: finished answers keyed by
 ``(database fingerprint, normalized plan, args)``.  The fingerprint
@@ -44,13 +45,15 @@ _MISSING = object()
 class PlanCache:
     """Memoized plan preparation (level 1).
 
-    Two memos: :meth:`normalized` (pure normalization, the historical
-    entry point) and :meth:`prepared` (normalize → optimize →
-    re-normalize, the engine's default since the optimizer landed).
-    Both are thread-safe via the locked :func:`~repro.util.memo.
-    lru_cached` wrapper; the optimizer's rewrite tallies accumulate
-    under a private lock only on memo misses, so warm lookups stay
-    contention-free.
+    Two memos: :meth:`normalized` (pure normalization, used when the
+    optimizer is off) and :meth:`prepared` (one
+    :func:`~repro.engine.optimize.optimize_result` call, which
+    normalizes before and after every pass, so its plan needs no
+    further normalization).  A never-seen query therefore costs one
+    entry in one memo.  Both are thread-safe via the locked
+    :func:`~repro.util.memo.lru_cached` wrapper; the optimizer's
+    rewrite tallies accumulate under a private lock only on memo
+    misses, so warm lookups stay contention-free.
     """
 
     def __init__(self, maxsize: int = 4096):
@@ -67,13 +70,12 @@ class PlanCache:
         # avoids ordering constraints and costs one dict lookup per
         # memo *miss* only.
         from .optimize import optimize_result
-        result = optimize_result(self._normalize(plan, signature=signature),
-                                 signature)
+        result = optimize_result(plan, signature)
         with self._opt_lock:
             self._optimizations += 1
             for name, count in result.rewrites:
                 self._rewrites[name] = self._rewrites.get(name, 0) + count
-        return normalize(result.plan, signature)
+        return result.plan
 
     def normalized(self, plan: Plan,
                    signature: tuple[int, ...] | None = None) -> Plan:

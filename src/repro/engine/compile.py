@@ -61,7 +61,7 @@ from .plan import (
     Quantify,
     Scan,
     Union,
-    plan_rank,
+    _Ranker,
 )
 
 _MISS = object()
@@ -121,7 +121,11 @@ class _Compiler:
         self.results = engine.cache.results
         self.fingerprint = engine.fingerprint
         self._nodes: dict[Plan, _CNode] = {}
-        self._ranks: dict[Plan, int | None] = {}
+        # Static rank, ``None`` if unknown — lazy early-exit paths are
+        # gated on it (a known static rank means the whole subtree
+        # rank-checked, so skipping the runtime checks cannot hide an
+        # error).  Needed while compiling only.
+        self._static_rank: _Ranker | None = _Ranker(engine.signature)
         self.boundaries = 0
 
     # -- plumbing ------------------------------------------------------------
@@ -129,25 +133,14 @@ class _Compiler:
     def compile(self, plan: Plan) -> CompiledPlan:
         """Compile ``plan`` into a :class:`CompiledPlan`."""
         root = self._node(plan)
+        # The run closures keep this compiler alive; its rank memo
+        # would outlive the compilation for nothing.
+        self._static_rank = None
 
         def run() -> Value:
             return self._execute(root, {})
 
         return CompiledPlan(plan, self.boundaries, run)
-
-    def _static_rank(self, plan: Plan) -> int | None:
-        """Static rank via the engine signature, ``None`` if unknown —
-        lazy early-exit paths are gated on it (a known static rank
-        means the whole subtree rank-checked, so skipping the runtime
-        checks cannot hide an error)."""
-        rank = self._ranks.get(plan, _MISS)
-        if rank is _MISS:
-            try:
-                rank = plan_rank(plan, self.engine.signature)
-            except Exception:  # noqa: BLE001 — dynamic/invalid: no laziness
-                rank = None
-            self._ranks[plan] = rank
-        return rank
 
     def _execute(self, node: _CNode, memo: dict) -> Value:
         """Run one boundary's closure with interpreter-parity timing

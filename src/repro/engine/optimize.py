@@ -50,7 +50,6 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
-from ..errors import RankMismatchError, TypeSignatureError
 from ..trace import limits
 from .plan import (
     EXISTS,
@@ -71,8 +70,9 @@ from .plan import (
     Quantify,
     Scan,
     Union,
-    normalize,
-    plan_rank,
+    _normalize,
+    _Ranker,
+    _with_child,
 )
 
 #: Nodes with no children (rewritten only through their parents).
@@ -81,39 +81,6 @@ LEAVES = (Scan, FullScan, Empty, Fixpoint, MachineFixpoint, FcfFixpoint)
 #: Local rule applications per node per pass — a safety valve, far
 #: above what any terminating rule sequence needs.
 _NODE_ITERATIONS = 64
-
-_UNSET = object()
-
-
-class _Ranker:
-    """Memoized static rank: an ``int``, or ``None`` when the rank is
-    unknown (dynamic fixpoint below, missing signature) or the node is
-    statically ill-ranked — either way, rules must not fire.
-
-    The memo is keyed by object identity, not plan equality: plan
-    hashing is recursive (``O(subtree)`` per lookup), which profiling
-    showed dominating whole optimization passes.  Entries keep a
-    reference to their plan so the id cannot be recycled underneath
-    the memo; a ranker lives only for one :func:`optimize_result`
-    call, bounding the retained garbage to that plan's rewrite
-    history."""
-
-    __slots__ = ("_signature", "_memo")
-
-    def __init__(self, signature: Sequence[int] | None):
-        self._signature = tuple(signature) if signature is not None else ()
-        self._memo: dict[int, tuple[Plan, int | None]] = {}
-
-    def __call__(self, plan: Plan) -> int | None:
-        entry = self._memo.get(id(plan))
-        if entry is not None and entry[0] is plan:
-            return entry[1]
-        try:
-            rank = plan_rank(plan, self._signature)
-        except (RankMismatchError, TypeSignatureError, TypeError):
-            rank = None
-        self._memo[id(plan)] = (plan, rank)
-        return rank
 
 
 def _resolve(i: int, n: int) -> int:
@@ -497,12 +464,6 @@ class Rule:
     types: type | tuple[type, ...]
     fn: object
 
-    def apply(self, node: Plan, rank) -> Plan | None:
-        """The rule's replacement for ``node``, or ``None``."""
-        if not isinstance(node, self.types):
-            return None
-        return self.fn(node, rank)
-
 
 #: The full rule catalog, in application order (docs/optimizer.md
 #: renders the same list as prose with before/after trees).
@@ -547,6 +508,20 @@ RULES: tuple[Rule, ...] = (
 RULE_NAMES: tuple[str, ...] = tuple(r.name for r in RULES)
 
 
+def _rules_by_type(rules: Iterable[Rule]) -> dict[type, tuple[Rule, ...]]:
+    """The ``type → rules`` dispatch table of a rule set, each entry in
+    catalog order (built from the types every rule declares)."""
+    table: dict[type, list[Rule]] = {}
+    for rule in rules:
+        types = rule.types if isinstance(rule.types, tuple) else (rule.types,)
+        for cls in types:
+            table.setdefault(cls, []).append(rule)
+    return {cls: tuple(rs) for cls, rs in table.items()}
+
+
+_CATALOG_BY_TYPE = _rules_by_type(RULES)
+
+
 def _map_children(plan: Plan, fn) -> Plan:
     """``plan`` with every direct child mapped through ``fn`` (node
     identity preserved when nothing changed)."""
@@ -563,41 +538,56 @@ def _map_children(plan: Plan, fn) -> Plan:
     child = fn(plan.child)  # type: ignore[attr-defined]
     if child is plan.child:  # type: ignore[attr-defined]
         return plan
-    if isinstance(plan, FilterEq):
-        return FilterEq(child, plan.i, plan.j)
-    if isinstance(plan, FilterAtom):
-        return FilterAtom(child, plan.index, plan.positions, plan.negate)
-    if isinstance(plan, Project):
-        return Project(child, plan.coords)
-    if isinstance(plan, Extend):
-        return Extend(child)
-    if isinstance(plan, Quantify):
-        return Quantify(child, plan.kind)
-    if isinstance(plan, Complement):
-        return Complement(child)
-    raise TypeError(f"unknown plan node {plan!r}")
+    return _with_child(plan, child)
 
 
-def _rewrite_pass(plan: Plan, rank: _Ranker, rules: Sequence[Rule],
-                  counts: dict[str, int]) -> Plan:
-    """One bottom-up pass: children first, then local rules to a
-    (bounded) local fixpoint."""
-    plan = _map_children(
-        plan, lambda c: _rewrite_pass(c, rank, rules, counts))
-    for __ in range(_NODE_ITERATIONS):
-        if rank(plan) is None:
-            # Ill-ranked or dynamic (fixpoint below): leave the node
-            # exactly as written so execution errors are preserved.
+class _Rewriter:
+    """The rewrite state of one :func:`optimize_result` call: the rank
+    memo, the rule table, per-rule tallies, and the subtrees a pass
+    left untouched."""
+
+    __slots__ = ("rank", "table", "counts", "fired", "_done")
+
+    def __init__(self, rank: _Ranker,
+                 table: dict[type, tuple[Rule, ...]]):
+        self.rank = rank
+        self.table = table
+        self.counts: dict[str, int] = {}
+        self.fired = 0
+        self._done: dict[int, Plan] = {}
+
+    def rewrite(self, plan: Plan) -> Plan:
+        """One bottom-up pass: children first, then local rules to a
+        (bounded) local fixpoint.
+
+        A subtree the pass returns as the same object, with no rule
+        fired anywhere inside it, is done: rules are deterministic in
+        the node and its ranks, so every later pass would return it
+        unchanged again, and skips it instead.  A node rebuilt or
+        rewritten here is never marked, since its new children have
+        not been through a pass of their own."""
+        if self._done.get(id(plan)) is plan:
             return plan
-        for rule in rules:
-            out = rule.apply(plan, rank)
-            if out is not None and out != plan:
-                counts[rule.name] = counts.get(rule.name, 0) + 1
-                plan = out
+        fired = self.fired
+        node = _map_children(plan, self.rewrite)
+        rank = self.rank
+        for __ in range(_NODE_ITERATIONS):
+            if rank(node) is None:
+                # Ill-ranked or dynamic (fixpoint below): leave the node
+                # exactly as written so execution errors are preserved.
                 break
-        else:
-            return plan
-    return plan
+            for rule in self.table.get(type(node), ()):
+                out = rule.fn(node, rank)
+                if out is not None and out != node:
+                    self.counts[rule.name] = self.counts.get(rule.name, 0) + 1
+                    self.fired += 1
+                    node = out
+                    break
+            else:
+                break
+        if node is plan and self.fired == fired:
+            self._done[id(plan)] = plan
+        return node
 
 
 @dataclass(frozen=True)
@@ -629,25 +619,30 @@ def optimize_result(plan: Plan,
     changes nothing, so the cap only bites on pathological plans.
     """
     if rules is None:
-        selected: tuple[Rule, ...] = RULES
+        table = _CATALOG_BY_TYPE
     else:
         wanted = set(rules)
         unknown = wanted - set(RULE_NAMES)
         if unknown:
             raise ValueError(f"unknown optimizer rules: {sorted(unknown)}")
-        selected = tuple(r for r in RULES if r.name in wanted)
+        table = _rules_by_type(r for r in RULES if r.name in wanted)
     rank = _Ranker(signature)
-    counts: dict[str, int] = {}
-    current = normalize(plan, signature)
+    rewriter = _Rewriter(rank, table)
+    # One memo of normal-form nodes for every normalization of the
+    # call, so each pass re-normalizes only what it rewrote; without a
+    # signature, identity projections are left in place.
+    normal: dict[int, Plan] = {}
+    normal_rank = rank if signature is not None else None
+    current = _normalize(plan, normal_rank, normal)
     passes = 0
     while passes < max_passes:
         before = current
-        current = normalize(
-            _rewrite_pass(current, rank, selected, counts), signature)
+        current = _normalize(rewriter.rewrite(current), normal_rank, normal)
         passes += 1
-        if current == before:
+        if current is before or current == before:
             break
-    return OptimizeResult(current, tuple(sorted(counts.items())), passes)
+    return OptimizeResult(current, tuple(sorted(rewriter.counts.items())),
+                          passes)
 
 
 def optimize(plan: Plan, signature: Sequence[int] | None = None, *,

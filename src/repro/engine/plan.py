@@ -29,9 +29,10 @@ boolean combinators they need):
 * **combinators** — :class:`Union`, :class:`Intersect`,
   :class:`Complement` (relative to ``Tⁿ``).
 
-All nodes are frozen dataclasses: hashable, comparable, safe as cache
-keys.  :func:`normalize` computes the canonical form the plan cache
-keys on; :func:`plan_rank` is the static rank checker.
+All nodes are frozen, slotted dataclasses: hashable, comparable, safe
+as cache keys, and small (no per-node ``__dict__``).  :func:`normalize`
+computes the canonical form the plan cache keys on; :func:`plan_rank`
+is the static rank checker.
 """
 
 from __future__ import annotations
@@ -45,7 +46,13 @@ from ..trace import limits
 
 
 class Plan:
-    """Base class of all plan nodes."""
+    """Base class of all plan nodes.
+
+    The one non-field slot, ``_hash``, holds the node's cached hash
+    (see :func:`_install_cached_hash`); nodes carry no ``__dict__``.
+    """
+
+    __slots__ = ("_hash",)
 
     def __and__(self, other: "Plan") -> "Plan":
         return Intersect((self, other))
@@ -61,21 +68,21 @@ class Plan:
 # Scans.
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Scan(Plan):
     """The stored relation ``Rᵢ`` as its representative set ``Cᵢ``."""
 
     index: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FullScan(Plan):
     """``Tⁿ`` — every class of rank ``rank``."""
 
     rank: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Empty(Plan):
     """``∅`` at rank ``rank`` — the other constant relation.
 
@@ -94,7 +101,7 @@ class Empty(Plan):
 # Filters.
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FilterEq(Plan):
     """Keep paths whose coordinates ``i`` and ``j`` carry equal labels.
 
@@ -109,7 +116,7 @@ class FilterEq(Plan):
     j: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FilterAtom(Plan):
     """``σ_{(p[pos₁],…,p[pos_a]) ∈ R_index}`` (or its negation).
 
@@ -134,7 +141,7 @@ class FilterAtom(Plan):
 # Projections.
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Project(Plan):
     """Output ``canon(p[c₁], …, p[c_m])`` for each child path ``p``.
 
@@ -152,14 +159,14 @@ class Project(Plan):
         object.__setattr__(self, "coords", tuple(coords))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Extend(Plan):
     """``↑`` — every one-label tree extension of every child path."""
 
     child: Plan
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Join(Plan):
     """Cartesian product on representatives (QLhs ``Product``).
 
@@ -181,7 +188,7 @@ EXISTS = "exists"
 FORALL = "forall"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Quantify(Plan):
     """Bind away the last coordinate of the child.
 
@@ -204,7 +211,7 @@ class Quantify(Plan):
 # Combinators.
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Union(Plan):
     """n-ary union of same-rank children (flattened by ``normalize``)."""
 
@@ -214,7 +221,7 @@ class Union(Plan):
         object.__setattr__(self, "children", tuple(children))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Intersect(Plan):
     """n-ary intersection of same-rank children (QLhs ``∩``)."""
 
@@ -224,7 +231,7 @@ class Intersect(Plan):
         object.__setattr__(self, "children", tuple(children))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Complement(Plan):
     """``Tⁿ − child`` — complement within the child's rank."""
 
@@ -235,7 +242,7 @@ class Complement(Plan):
 # Fixpoints (opaque procedural payloads).
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Fixpoint(Plan):
     """A full QLhs program, run to completion by the interpreter.
 
@@ -248,7 +255,7 @@ class Fixpoint(Plan):
     result_var: str = "Y1"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MachineFixpoint(Plan):
     """A Theorem 5.1 GMhs query procedure (run via ``run_query_gmhs``).
 
@@ -268,7 +275,7 @@ class MachineFixpoint(Plan):
     max_steps: int = limits.MACHINE_FIXPOINT
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FcfFixpoint(Plan):
     """A QLf+ program over an fcf-r-db (Section 4 semantics).
 
@@ -289,21 +296,27 @@ def _install_cached_hash(cls: type) -> None:
     """Replace the dataclass-generated ``__hash__`` with a caching one.
 
     Plans are used as dict keys everywhere (both cache levels, the
-    optimizer's memos, batch shared sets), and the generated hash walks
-    the whole subtree on every call — profiling showed recursive
-    hashing dominating cold evaluation.  Nodes are frozen, so the hash
-    is computed once and stashed on the instance; child hashes are
+    result cache, batch shared sets), and the generated hash walks the
+    whole subtree on every call — profiling showed recursive hashing
+    dominating cold evaluation.  Nodes are frozen, so the hash is
+    computed once and stashed in the ``_hash`` slot; child hashes are
     themselves cached, making the first hash of a tree ``O(n)`` total
     and every later one ``O(1)``.
+
+    The slot is not a dataclass field, so pickling (the shard
+    executor's transport) leaves it behind: ``hash()`` is salted per
+    process, and a hash carried into another process would disagree
+    with that process's hash of an equal plan.
     """
     generated = cls.__hash__
 
     def cached_hash(self, _generated=generated):
-        h = self.__dict__.get("_hash")
-        if h is None:
+        try:
+            return self._hash
+        except AttributeError:
             h = _generated(self)
             object.__setattr__(self, "_hash", h)
-        return h
+            return h
 
     cls.__hash__ = cached_hash
 
@@ -318,9 +331,10 @@ for _cls in (Scan, FullScan, Empty, FilterEq, FilterAtom, Project, Extend,
 # Static rank computation.
 # ---------------------------------------------------------------------------
 
-def plan_rank(plan: Plan, signature: Sequence[int]) -> int:
-    """The output rank of a plan, statically (raises on rank errors)."""
-    signature = tuple(signature)
+def _rank_step(plan: Plan, signature: tuple[int, ...], rank_of) -> int:
+    """The output rank of one node, given ``rank_of(child)`` for its
+    children (raises on rank errors) — the single home of the rank
+    rules, shared by :func:`plan_rank` and :class:`_Ranker`."""
     if isinstance(plan, Scan):
         if not 0 <= plan.index < len(signature):
             raise TypeSignatureError(
@@ -335,7 +349,7 @@ def plan_rank(plan: Plan, signature: Sequence[int]) -> int:
             raise RankMismatchError("Empty rank must be >= 0")
         return plan.rank
     if isinstance(plan, FilterEq):
-        n = plan_rank(plan.child, signature)
+        n = rank_of(plan.child)
         i = plan.i if plan.i >= 0 else n + plan.i
         j = plan.j if plan.j >= 0 else n + plan.j
         if not (0 <= i < n and 0 <= j < n):
@@ -343,7 +357,7 @@ def plan_rank(plan: Plan, signature: Sequence[int]) -> int:
                 f"FilterEq({plan.i}, {plan.j}) out of range for rank {n}")
         return n
     if isinstance(plan, FilterAtom):
-        n = plan_rank(plan.child, signature)
+        n = rank_of(plan.child)
         if not 0 <= plan.index < len(signature):
             raise TypeSignatureError(
                 f"FilterAtom relation {plan.index} out of range for "
@@ -358,23 +372,22 @@ def plan_rank(plan: Plan, signature: Sequence[int]) -> int:
                 f"for rank {n}")
         return n
     if isinstance(plan, Project):
-        n = plan_rank(plan.child, signature)
+        n = rank_of(plan.child)
         if any(not 0 <= c < n for c in plan.coords):
             raise RankMismatchError(
                 f"Project coords {plan.coords} out of range for rank {n}")
         return len(plan.coords)
     if isinstance(plan, Extend):
-        return plan_rank(plan.child, signature) + 1
+        return rank_of(plan.child) + 1
     if isinstance(plan, Join):
-        return (plan_rank(plan.left, signature)
-                + plan_rank(plan.right, signature))
+        return rank_of(plan.left) + rank_of(plan.right)
     if isinstance(plan, Quantify):
-        n = plan_rank(plan.child, signature)
+        n = rank_of(plan.child)
         if n == 0:
             raise RankMismatchError("Quantify needs rank >= 1")
         return n - 1
     if isinstance(plan, (Union, Intersect)):
-        ranks = {plan_rank(c, signature) for c in plan.children}
+        ranks = {rank_of(c) for c in plan.children}
         if not plan.children:
             raise RankMismatchError(
                 f"{type(plan).__name__} needs at least one child")
@@ -383,12 +396,58 @@ def plan_rank(plan: Plan, signature: Sequence[int]) -> int:
                 f"{type(plan).__name__} over mixed ranks {sorted(ranks)}")
         return ranks.pop()
     if isinstance(plan, Complement):
-        return plan_rank(plan.child, signature)
+        return rank_of(plan.child)
     if isinstance(plan, (Fixpoint, MachineFixpoint, FcfFixpoint)):
         raise RankMismatchError(
             f"{type(plan).__name__} rank is dynamic (known only after "
             "execution)")
     raise TypeError(f"unknown plan node {plan!r}")
+
+
+def plan_rank(plan: Plan, signature: Sequence[int]) -> int:
+    """The output rank of a plan, statically (raises on rank errors)."""
+    signature = tuple(signature)
+    return _rank_step(plan, signature,
+                      lambda child: plan_rank(child, signature))
+
+
+class _Ranker:
+    """Memoized static rank for one call (normalization or
+    optimization): an ``int``, or ``None`` when the rank is unknown
+    (dynamic fixpoint below, missing signature) or the node is
+    statically ill-ranked — either way, rewrite rules must not fire.
+
+    Each node's rank is computed once, by :func:`_rank_step` over its
+    children's memoized ranks, so a whole tree costs ``O(n)`` and a
+    rebuilt node costs one step.  The memo is keyed by object identity,
+    which needs no hashing of the rewritten nodes an optimizer pass
+    creates.  Entries keep a reference to their plan so the id cannot
+    be recycled underneath the memo; a ranker lives only for one call,
+    bounding the retained garbage to that plan's rewrite history."""
+
+    __slots__ = ("_signature", "_memo")
+
+    def __init__(self, signature: Sequence[int] | None):
+        self._signature = tuple(signature) if signature is not None else ()
+        self._memo: dict[int, tuple[Plan, int | None]] = {}
+
+    def __call__(self, plan: Plan) -> int | None:
+        entry = self._memo.get(id(plan))
+        if entry is not None and entry[0] is plan:
+            return entry[1]
+        try:
+            rank = _rank_step(plan, self._signature, self._child_rank)
+        except (RankMismatchError, TypeSignatureError, TypeError):
+            rank = None
+        self._memo[id(plan)] = (plan, rank)
+        return rank
+
+    def _child_rank(self, child: Plan) -> int:
+        rank = self(child)
+        if rank is None:
+            raise RankMismatchError(f"rank of {type(child).__name__} "
+                                    "is unknown")
+        return rank
 
 
 # ---------------------------------------------------------------------------
@@ -413,19 +472,41 @@ def normalize(plan: Plan, signature: Sequence[int] | None = None) -> Plan:
       when a ``signature`` is supplied, since the child's rank must be
       derivable to recognize them.
 
-    Two plans that normalize identically share a plan-cache entry and —
-    combined with a database fingerprint — a result-cache entry.
+    Every node that needs none of these is returned as the same object,
+    so ``normalize(q) is q`` for a normal ``q``.  Two plans that
+    normalize identically share a plan-cache entry and — combined with
+    a database fingerprint — a result-cache entry.
     """
+    rank = _Ranker(signature) if signature is not None else None
+    return _normalize(plan, rank, {})
+
+
+def _normalize(plan: Plan, rank: _Ranker | None,
+               normal: dict[int, Plan]) -> Plan:
+    """:func:`normalize` under one call's memos: ``rank`` (``None``
+    when no signature is known, so identity projections stay) and
+    ``normal``, the nodes already known to be in normal form (by id),
+    which are returned without another walk."""
+    if normal.get(id(plan)) is plan:
+        return plan
+    out = _normal_step(plan, rank, normal)
+    normal[id(out)] = out
+    return out
+
+
+def _normal_step(plan: Plan, rank: _Ranker | None,
+                 normal: dict[int, Plan]) -> Plan:
+    """One node of :func:`_normalize`, children first."""
     if isinstance(plan, Complement):
-        child = normalize(plan.child, signature)
+        child = _normalize(plan.child, rank, normal)
         if isinstance(child, Complement):
             return child.child
-        return Complement(child)
+        return plan if child is plan.child else Complement(child)
     if isinstance(plan, (Union, Intersect)):
         cls = type(plan)
         flat: list[Plan] = []
         for c in plan.children:
-            c = normalize(c, signature)
+            c = _normalize(c, rank, normal)
             if isinstance(c, cls):
                 flat.extend(c.children)
             else:
@@ -433,33 +514,53 @@ def normalize(plan: Plan, signature: Sequence[int] | None = None) -> Plan:
         unique = sorted(set(flat), key=_node_key)
         if len(unique) == 1:
             return unique[0]
-        return cls(tuple(unique))
+        if (len(unique) == len(plan.children)
+                and all(a is b for a, b in zip(unique, plan.children))):
+            return plan
+        return cls(unique)
     if isinstance(plan, FilterEq):
-        i, j = sorted((plan.i, plan.j)) if (
-            (plan.i >= 0) == (plan.j >= 0)) else (plan.i, plan.j)
-        return FilterEq(normalize(plan.child, signature), i, j)
-    if isinstance(plan, FilterAtom):
-        return FilterAtom(normalize(plan.child, signature), plan.index,
-                          plan.positions, plan.negate)
+        i, j = plan.i, plan.j
+        if (i >= 0) == (j >= 0) and i > j:
+            i, j = j, i
+        child = _normalize(plan.child, rank, normal)
+        if child is plan.child and i == plan.i:
+            return plan
+        return FilterEq(child, i, j)
     if isinstance(plan, Project):
-        child = normalize(plan.child, signature)
-        if signature is not None:
-            try:
-                n_child = plan_rank(child, signature)
-            except (RankMismatchError, TypeSignatureError, TypeError):
-                n_child = None
+        child = _normalize(plan.child, rank, normal)
+        if rank is not None:
+            n_child = rank(child)
             if n_child is not None and plan.coords == tuple(range(n_child)):
                 return child
-        return Project(child, plan.coords)
-    if isinstance(plan, Extend):
-        return Extend(normalize(plan.child, signature))
+        return plan if child is plan.child else Project(child, plan.coords)
     if isinstance(plan, Join):
-        return Join(normalize(plan.left, signature),
-                    normalize(plan.right, signature))
-    if isinstance(plan, Quantify):
-        return Quantify(normalize(plan.child, signature), plan.kind)
+        left = _normalize(plan.left, rank, normal)
+        right = _normalize(plan.right, rank, normal)
+        if left is plan.left and right is plan.right:
+            return plan
+        return Join(left, right)
+    if isinstance(plan, (FilterAtom, Extend, Quantify)):
+        child = _normalize(plan.child, rank, normal)
+        return plan if child is plan.child else _with_child(plan, child)
     # Leaves and opaque fixpoints are already canonical.
     return plan
+
+
+def _with_child(plan: Plan, child: Plan) -> Plan:
+    """A single-child node rebuilt over a new ``child``."""
+    if isinstance(plan, FilterEq):
+        return FilterEq(child, plan.i, plan.j)
+    if isinstance(plan, FilterAtom):
+        return FilterAtom(child, plan.index, plan.positions, plan.negate)
+    if isinstance(plan, Project):
+        return Project(child, plan.coords)
+    if isinstance(plan, Extend):
+        return Extend(child)
+    if isinstance(plan, Quantify):
+        return Quantify(child, plan.kind)
+    if isinstance(plan, Complement):
+        return Complement(child)
+    raise TypeError(f"unknown plan node {plan!r}")
 
 
 def plan_size(plan: Plan) -> int:

@@ -9,6 +9,11 @@ Notation: ``R0`` scan, ``T2`` full level, ``0_2`` empty, ``eq[i=j]``
 coordinate filter, ``atom[R0@p,q]`` atom filter (``!`` = negated),
 ``pi[coords]`` projection, ``up`` extend, ``ex``/``all`` quantifiers,
 ``join``/``or``/``and``/``not`` combinators.
+
+Beyond these hand-picked shapes, a seeded corpus of random sentences
+over the four builtin databases pins every prepared plan, per-rule
+rewrite tally and pass count through one digest
+(:mod:`repro.check.golden`).
 """
 
 import pytest
@@ -29,6 +34,13 @@ from repro.engine import (
     plan_from_sentence,
     plan_size,
 )
+from repro.check.golden import (
+    PREPARE_DIGEST,
+    prepare_corpus,
+    prepare_digest,
+)
+from repro.engine import optimize_result
+from repro.engine.cache import PlanCache
 from repro.engine.plan import Extend
 from repro.logic import parse
 
@@ -135,3 +147,12 @@ def test_folding_shape_pinned(plan, expected):
 def test_optimized_never_larger(sentence):
     plan = plan_from_sentence(parse(sentence), SIGNATURE)
     assert plan_size(optimize(plan, SIGNATURE)) <= plan_size(plan)
+
+
+def test_prepared_corpus_digest_pinned():
+    plans = PlanCache()
+    rows = [(plans.prepared(plan, signature),
+             optimize_result(plan, signature))
+            for signature, plan in prepare_corpus()]
+    assert all(prepared == result.plan for prepared, result in rows)
+    assert prepare_digest(rows) == PREPARE_DIGEST

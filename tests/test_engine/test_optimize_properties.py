@@ -12,6 +12,9 @@ three ways:
 
 The generator builds plans by rank, so every example is well-ranked and
 evaluable — rule soundness is tested on live values, not just shapes.
+The preparation machinery is checked on these plans and on unchecked
+(often ill-ranked) ones: normalization returns a normal plan as the
+same object, and the per-call rank memo agrees with ``plan_rank``.
 """
 
 import pytest
@@ -32,13 +35,19 @@ from repro.engine import (
     FullScan,
     Intersect,
     Join,
+    MachineFixpoint,
     Project,
     Quantify,
     Scan,
     Union,
+    normalize,
     optimize,
     optimize_result,
+    plan_rank,
 )
+from repro.engine.optimize import iter_subplans
+from repro.engine.plan import _Ranker
+from repro.errors import RankMismatchError, TypeSignatureError
 from repro.graphs import mixed_components_hsdb
 
 SIGNATURE = (2,)
@@ -108,6 +117,39 @@ def random_plans():
         lambda rank: _plans(rank, depth=3))
 
 
+def _unchecked_plans():
+    """Plans built without regard to rank: out-of-range scans, indices
+    and coordinates, mixed-rank combinators, empty unions, dynamic
+    fixpoints — most are ill-ranked somewhere."""
+    small = st.integers(-1, MAX_RANK + 1)
+    leaves = st.one_of(
+        st.builds(Scan, st.integers(0, 1)),
+        st.builds(FullScan, small),
+        st.builds(Empty, small),
+        st.just(MachineFixpoint(len)))
+    coords = st.lists(small, max_size=3).map(tuple)
+
+    def nodes(children):
+        return st.one_of(
+            st.builds(Complement, children),
+            st.builds(Extend, children),
+            st.builds(Quantify, children, kinds),
+            st.builds(FilterEq, children, small, small),
+            st.builds(FilterAtom, children, st.integers(0, 1), coords,
+                      st.booleans()),
+            st.builds(Project, children, coords),
+            st.builds(Join, children, children),
+            st.builds(Union, st.lists(children, max_size=3)),
+            st.builds(Intersect, st.lists(children, max_size=3)))
+
+    return st.recursive(leaves, nodes, max_leaves=8)
+
+
+def any_plans():
+    """Well-ranked and unchecked plans, mixed."""
+    return st.one_of(random_plans(), _unchecked_plans())
+
+
 BATTERY = settings(max_examples=40, deadline=None,
                    suppress_health_check=[HealthCheck.too_slow])
 
@@ -157,3 +199,22 @@ def test_rewrite_counts_explain_the_change(plan):
 def test_unknown_rule_names_rejected():
     with pytest.raises(ValueError, match="no-such-rule"):
         optimize(FullScan(1), SIGNATURE, rules=["no-such-rule"])
+
+
+@BATTERY
+@given(plan=any_plans(), signature=st.sampled_from([SIGNATURE, None]))
+def test_normal_form_is_returned_as_is(plan, signature):
+    once = normalize(plan, signature)
+    assert normalize(once, signature) is once
+
+
+@BATTERY
+@given(plan=any_plans())
+def test_rank_memo_agrees_with_plan_rank(plan):
+    rank = _Ranker(SIGNATURE)
+    for node in iter_subplans(plan):
+        try:
+            expected = plan_rank(node, SIGNATURE)
+        except (RankMismatchError, TypeSignatureError):
+            expected = None
+        assert rank(node) == expected

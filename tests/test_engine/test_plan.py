@@ -1,6 +1,14 @@
 """Plan IR: rank checking, normalization, hashability."""
 
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
+
+import repro
 
 from repro.engine import (
     Complement,
@@ -110,7 +118,14 @@ class TestNormalize:
             Project(Extend(FullScan(1)), (1, 0)),
         )))
         once = normalize(plan, SIG)
-        assert normalize(once, SIG) == once
+        assert normalize(once, SIG) is once
+
+    def test_unchanged_subtrees_keep_their_identity(self):
+        inner = Join(Scan(0), Scan(1))
+        plan = Complement(Complement(FilterEq(inner, 2, 0)))
+        out = normalize(plan, SIG)
+        assert out == FilterEq(inner, 0, 2)
+        assert out.child is inner
 
     def test_plans_are_hashable_cache_keys(self):
         plan = Quantify(FilterAtom(FullScan(2), 0, (0, 1)), "forall")
@@ -121,3 +136,37 @@ class TestNormalize:
         plan = Union((Scan(0), Complement(Scan(1))))
         assert plan_size(plan) == 4
         assert plan_size(Join(Scan(0), Scan(0))) == 3
+
+
+class TestHashAcrossProcesses:
+    """A plan's cached hash is per process: pickling must not carry it."""
+
+    def test_nodes_have_no_instance_dict(self):
+        plan = Quantify(FilterAtom(FullScan(2), 0, (0, 1)), "forall")
+        hash(plan)
+        assert not hasattr(plan, "__dict__")
+        assert pickle.loads(pickle.dumps(plan)) == plan
+
+    def test_unpickled_plan_rehashes_under_its_own_seed(self, tmp_path):
+        # Hash (populating the cache), pickle under one hash seed; load
+        # under another and look the plan up in a dict keyed by an
+        # equal plan built there.  A pickled stale hash misses.
+        src = str(Path(repro.__file__).resolve().parents[1])
+        blob = tmp_path / "plan.pickle"
+        build = ("from repro.engine import *; "
+                 "p = Union((Quantify(FullScan(2), 'exists'), "
+                 "Quantify(Scan(0), 'forall')))")
+        dump = (f"{build}; import pickle, sys; hash(p); "
+                f"open(sys.argv[1], 'wb').write(pickle.dumps(p))")
+        load = (f"{build}; import pickle, sys; "
+                f"q = pickle.loads(open(sys.argv[1], 'rb').read()); "
+                f"assert q == p; print({{p: 'hit'}}.get(q))")
+
+        def run(code, seed):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+            return subprocess.run(
+                [sys.executable, "-c", code, str(blob)], env=env,
+                capture_output=True, text=True, check=True).stdout.strip()
+
+        run(dump, "1")
+        assert run(load, "3") == "hit"
